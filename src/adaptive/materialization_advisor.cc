@@ -150,7 +150,7 @@ Result<MaterializationAdvisor::TickResult> MaterializationAdvisor::Tick(
 
   const std::vector<double> base_cost = BuildCostFromScratch(
       skel, options_.components, options_.costs, dg->options().maintain_current,
-      static_cast<double>(dg->current().ElementCount()));
+      static_cast<double>(dg->PinFrontier()->current_elements));
 
   // Score every non-super-root node: observed traffic × bytes saved per
   // resident byte. Traffic is the plan touch count plus the fetch counts of

@@ -166,6 +166,7 @@ Result<std::unique_ptr<DeltaGraph>> DeltaGraph::Open(KVStore* store) {
     }
     dg->current_ = std::move(it->second);
     HG_RETURN_NOT_OK(dg->current_.ApplyAll(dg->recent_.events(), /*forward=*/true));
+    dg->current_elements_ = dg->current_.ElementCount();
     dg->PublishFrontier();
   }
   return dg;
@@ -223,6 +224,7 @@ void DeltaGraph::PublishFrontier() {
   f->min_time = min_time_;
   f->max_time = max_time_;
   f->event_count = event_count_;
+  f->current_elements = current_elements_;
   f->insert_events = insert_events_;
   f->delete_events = delete_events_;
   f->initial_elements = initial_elements_;
@@ -241,6 +243,30 @@ void DeltaGraph::PublishFrontier() {
 // Building / updating
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The change in Snapshot::ElementCount from applying `e` forward to a graph
+/// it applies to cleanly (Apply validated old values against the graph).
+int64_t ElementCountDelta(const Event& e) {
+  switch (e.type) {
+    case EventType::kAddNode:
+    case EventType::kAddEdge:
+      return 1;
+    case EventType::kDeleteNode:
+    case EventType::kDeleteEdge:
+      return -1;
+    case EventType::kNodeAttr:
+    case EventType::kEdgeAttr:
+      return int64_t{e.new_value.has_value()} - int64_t{e.old_value.has_value()};
+    case EventType::kTransientEdge:
+    case EventType::kTransientNode:
+      return 0;
+  }
+  return 0;
+}
+
+}  // namespace
+
 Status DeltaGraph::SetInitialSnapshot(const Snapshot& g0, Timestamp t0) {
   if (has_initial_leaf_ || event_count_ > 0) {
     return Status::InvalidArgument(
@@ -258,9 +284,10 @@ Status DeltaGraph::SetInitialSnapshot(const Snapshot& g0, Timestamp t0) {
     pending_[h][0].push_back(Pending{leaf_id, graph});
   }
   current_ = g0;
+  current_elements_ = leaf.element_count;
   min_time_ = t0;
   max_time_ = t0;
-  initial_elements_ = static_cast<double>(g0.ElementCount());
+  initial_elements_ = static_cast<double>(current_elements_);
   has_initial_leaf_ = true;
   for (auto* hook : aux_hooks_) {
     HG_RETURN_NOT_OK(hook->BuildOnInitialSnapshot(g0));
@@ -315,6 +342,7 @@ Status DeltaGraph::AppendOne(const Event& e) {
     has_initial_leaf_ = true;
   }
   HG_RETURN_NOT_OK(current_.Apply(e, /*forward=*/true));
+  current_elements_ += ElementCountDelta(e);
   recent_.Append(e);
   PushRecentTail(e);
   min_time_ = std::min(min_time_, e.time);
@@ -658,7 +686,7 @@ PlannerContext DeltaGraph::MakePlannerContext() const {
   ctx.recent_count = recent_.size();
   ctx.recent_end = recent_.empty() ? kMinTimestamp : recent_.EndTime();
   ctx.has_current = options_.maintain_current;
-  ctx.current_elements = current_.ElementCount();
+  ctx.current_elements = current_elements_;
   return ctx;
 }
 
@@ -669,8 +697,7 @@ PlannerContext DeltaGraph::MakePlannerContext(const FrontierState& frontier) con
   ctx.recent_end =
       frontier.recent.empty() ? kMinTimestamp : frontier.recent.EndTime();
   ctx.has_current = options_.maintain_current && frontier.current != nullptr;
-  ctx.current_elements =
-      frontier.current == nullptr ? 0 : frontier.current->ElementCount();
+  ctx.current_elements = frontier.current_elements;
   return ctx;
 }
 

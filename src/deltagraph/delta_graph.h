@@ -47,9 +47,10 @@ struct DeltaGraphOptions {
   /// materialized"). Needed for updates; may be disabled for read-only
   /// replay experiments.
   bool maintain_current = true;
-  /// Reuse a cached super-root shortest-path tree across singlepoint queries
-  /// (the incremental-planning optimization of Section 4.3's discussion);
-  /// invalidated automatically whenever the skeleton changes.
+  /// Reuse cached shortest-path trees (from the super-root and from the
+  /// newest leaf, where the current graph attaches) across singlepoint
+  /// queries (the incremental-planning optimization of Section 4.3's
+  /// discussion); invalidated automatically whenever the skeleton changes.
   bool use_plan_cache = true;
 
   Status Validate() const;
@@ -185,7 +186,10 @@ class DeltaGraph {
                                                unsigned components = kCompAll,
                                                obs::TraceCtx tc = {}) const;
 
-  /// The plan the index would execute for `times` at a pinned frontier.
+  /// The plan the index executes for `times` at a pinned frontier: every
+  /// retrieval path plans here (GetSnapshotsAt, both session types, the
+  /// partitioned index), so EXPLAIN shows the plan that runs. A single time
+  /// uses the cached plan trees when options.use_plan_cache is set.
   Result<Plan> PlanForAt(const FrontierPtr& frontier,
                          const std::vector<Timestamp>& times,
                          unsigned components = kCompAll) const;
@@ -349,11 +353,9 @@ class DeltaGraph {
                                                   const FrontierPtr& frontier,
                                                   obs::TraceCtx tc = {}) const;
   /// Counts `plan`'s node touches into node_touches(). Called once per
-  /// query — from the inline-planning retrieval path and from PlanForAt
-  /// (the session paths plan there and execute separately), which between
-  /// them cover every retrieval exactly once. Materialization's own
-  /// PlanNodes work is deliberately not counted: the advisor must not see
-  /// its own actions as traffic.
+  /// query, from PlanForAt, which every retrieval path plans through.
+  /// Materialization's own PlanNodes work is deliberately not counted: the
+  /// advisor must not see its own actions as traffic.
   void RecordPlanTouches(const Plan& plan, const Skeleton& skel) const;
   Status WalkPlanNode(const PlanNode& node, PlanVisitor* visitor, bool is_tail) const;
   Status ApplyPlanStep(const PlanStep& step, PlanVisitor* visitor, bool undo) const;
@@ -390,6 +392,7 @@ class DeltaGraph {
   Skeleton skeleton_;
 
   Snapshot current_;          ///< The current graph (state after all events).
+  uint64_t current_elements_ = 0;  ///< current_.ElementCount(), kept per event.
   EventList recent_;          ///< Events newer than the last leaf.
   Timestamp min_time_ = kMaxTimestamp;
   Timestamp max_time_ = kMinTimestamp;

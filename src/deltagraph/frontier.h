@@ -97,6 +97,10 @@ struct FrontierState {
   /// Events applied so far — the oracle prefix: a reader pinned here sees
   /// exactly the replay of the first `event_count` log events.
   size_t event_count = 0;
+  /// |current| in elements (Snapshot::ElementCount), which the writer
+  /// maintains per event so the planner never walks the graph to price the
+  /// current-graph start. Set whether or not `current` is kept.
+  uint64_t current_elements = 0;
   size_t insert_events = 0;
   size_t delete_events = 0;
   double initial_elements = 0;

@@ -199,17 +199,11 @@ struct TerminalSpec {
 
 }  // namespace
 
-Result<Plan> Planner::PlanSnapshots(const std::vector<Timestamp>& times,
-                                    unsigned components) const {
+void Planner::AddBaseGraph(AugGraph* g, unsigned components) const {
   const Skeleton& skel = *ctx_.skeleton;
-  if (skel.leaves().empty() || skel.super_root() < 0) {
-    return Status::InvalidArgument("planner: index has no leaves yet");
-  }
-
-  AugGraph g;
   // Augmented node 0..N-1 mirror skeleton nodes.
-  for (size_t i = 0; i < skel.node_count(); ++i) g.AddNode();
-  g.origin = skel.super_root();
+  for (size_t i = 0; i < skel.node_count(); ++i) g->AddNode();
+  g->origin = skel.super_root();
 
   // Skeleton edges.
   for (size_t i = 0; i < skel.edge_count(); ++i) {
@@ -227,7 +221,7 @@ Result<Plan> Planner::PlanSnapshots(const std::vector<Timestamp>& times,
     }
     const double w =
         costs_.per_edge_overhead + static_cast<double>(e.sizes.TotalBytes(components));
-    g.AddEdge(e.from, e.to, w, step);
+    g->AddEdge(e.from, e.to, w, step);
   }
 
   // Materialized nodes hang off the super-root with near-zero weight
@@ -242,8 +236,37 @@ Result<Plan> Planner::PlanSnapshots(const std::vector<Timestamp>& times,
     step.node = n.id;
     const double w = costs_.memory_cost_factor * costs_.bytes_per_element *
                      static_cast<double>(n.element_count);
-    g.AddEdge(g.origin, n.id, w, step);
+    g->AddEdge(g->origin, n.id, w, step);
   }
+}
+
+double Planner::CurrentLoadWeight() const {
+  return costs_.memory_cost_factor * costs_.bytes_per_element *
+         static_cast<double>(ctx_.current_elements);
+}
+
+double Planner::RecentWeight(Timestamp lo, Timestamp hi,
+                             Timestamp last_boundary) const {
+  const double total_bytes = costs_.memory_cost_factor * ctx_.avg_event_bytes *
+                             static_cast<double>(ctx_.recent_count);
+  // Time differences in double: recent_end is kMinTimestamp for an empty
+  // tail, and the int64 difference would overflow.
+  const double span = std::max(
+      1.0, static_cast<double>(ctx_.recent_end) - static_cast<double>(last_boundary));
+  const double frac =
+      (static_cast<double>(hi) - static_cast<double>(lo)) / span;
+  return std::clamp(frac, 0.0, 1.0) * total_bytes;
+}
+
+Result<Plan> Planner::PlanSnapshots(const std::vector<Timestamp>& times,
+                                    unsigned components) const {
+  const Skeleton& skel = *ctx_.skeleton;
+  if (skel.leaves().empty() || skel.super_root() < 0) {
+    return Status::InvalidArgument("planner: index has no leaves yet");
+  }
+
+  AugGraph g;
+  AddBaseGraph(&g, components);
 
   // Current-graph node, connected to the last leaf by the recent eventlist.
   const int32_t last_leaf = skel.leaves().back();
@@ -253,9 +276,7 @@ Result<Plan> Planner::PlanSnapshots(const std::vector<Timestamp>& times,
     current_node = g.AddNode();
     PlanStep load;
     load.kind = PlanStep::Kind::kLoadCurrent;
-    const double w = costs_.memory_cost_factor * costs_.bytes_per_element *
-                     static_cast<double>(ctx_.current_elements);
-    g.AddEdge(g.origin, current_node, w, load);
+    g.AddEdge(g.origin, current_node, CurrentLoadWeight(), load);
   }
 
   // Resolve each distinct query time to a terminal attachment.
@@ -349,10 +370,6 @@ Result<Plan> Planner::PlanSnapshots(const std::vector<Timestamp>& times,
 
   if (!on_recent.empty() || current_node >= 0) {
     std::sort(on_recent.begin(), on_recent.end());
-    const double total_bytes = costs_.memory_cost_factor * ctx_.avg_event_bytes *
-                               static_cast<double>(ctx_.recent_count);
-    const double span = std::max<double>(
-        1.0, static_cast<double>(ctx_.recent_end - last_boundary));
     int32_t prev_node = last_leaf;
     Timestamp prev_t = last_boundary;
     for (Timestamp t : on_recent) {
@@ -363,9 +380,7 @@ Result<Plan> Planner::PlanSnapshots(const std::vector<Timestamp>& times,
       step.kind = PlanStep::Kind::kApplyRecentEvents;
       step.lo = prev_t;
       step.hi = t;
-      const double frac =
-          std::min(1.0, static_cast<double>(t - prev_t) / span);
-      g.AddEdge(prev_node, v, frac * total_bytes, step);
+      g.AddEdge(prev_node, v, RecentWeight(prev_t, t, last_boundary), step);
       prev_node = v;
       prev_t = t;
     }
@@ -380,9 +395,8 @@ Result<Plan> Planner::PlanSnapshots(const std::vector<Timestamp>& times,
       tail.kind = PlanStep::Kind::kApplyRecentEvents;
       tail.lo = prev_t;
       tail.hi = kMaxTimestamp;
-      const double frac = std::max(
-          0.0, std::min(1.0, static_cast<double>(ctx_.recent_end - prev_t) / span));
-      g.AddEdge(prev_node, current_node, frac * total_bytes, tail);
+      g.AddEdge(prev_node, current_node,
+                RecentWeight(prev_t, ctx_.recent_end, last_boundary), tail);
     }
   }
 
@@ -401,77 +415,56 @@ Result<Plan> Planner::PlanSinglepointCached(Timestamp t, unsigned components,
   if (skel.leaves().empty() || skel.super_root() < 0) {
     return Status::InvalidArgument("planner: index has no leaves yet");
   }
-  const Timestamp last_boundary = skel.node(skel.leaves().back()).boundary_time;
+  const auto& leaves = skel.leaves();
+  const int32_t last_leaf = leaves.back();
+  const Timestamp last_boundary = skel.node(last_leaf).boundary_time;
   if (t > last_boundary) {
-    // Depends on the recent eventlist / current graph, which change with
-    // every append: not worth caching.
+    // Splits the recent eventlist, which changes with every append: not
+    // worth caching.
     return PlanSnapshots({t}, components);
   }
 
-  // (Re)build the cached SSSP over the base skeleton when stale. The base
-  // graph has no virtual nodes, so augmented ids equal skeleton ids.
+  // (Re)build both trees over the base skeleton when stale. The base graph
+  // has no virtual nodes, so augmented ids equal skeleton ids; Dijkstra's
+  // augmented parent edges are translated into the cache's self-contained
+  // encoding (see SsspCache::Tree).
   if (!cache->ValidFor(skel, components)) {
     AugGraph g;
-    for (size_t i = 0; i < skel.node_count(); ++i) g.AddNode();
-    g.origin = skel.super_root();
-    for (size_t i = 0; i < skel.edge_count(); ++i) {
-      const SkeletonEdge& e = skel.edge(static_cast<int32_t>(i));
-      if (e.deleted) continue;
-      PlanStep step;
-      step.edge = e.id;
-      step.forward = true;
-      if (e.is_eventlist) {
-        step.kind = PlanStep::Kind::kApplyEvents;
-        step.lo = skel.node(e.from).boundary_time;
-        step.hi = skel.node(e.to).boundary_time;
-      } else {
-        step.kind = PlanStep::Kind::kApplyDelta;
+    AddBaseGraph(&g, components);
+    auto build = [&](int32_t source, SsspCache::Tree* tree) {
+      std::vector<int32_t> parent;
+      g.Dijkstra(source, &tree->dist, &parent);
+      tree->parent_edge.assign(skel.node_count(), -1);
+      for (size_t v = 0; v < skel.node_count(); ++v) {
+        if (parent[v] < 0) continue;
+        const PlanStep& step = g.edges[parent[v]].step;
+        tree->parent_edge[v] = step.kind == PlanStep::Kind::kLoadMaterialized
+                                   ? -2 - step.node
+                                   : step.edge;
       }
-      g.AddEdge(e.from, e.to,
-                costs_.per_edge_overhead +
-                    static_cast<double>(e.sizes.TotalBytes(components)),
-                step);
-    }
-    for (size_t i = 0; ctx_.allow_materialized && i < skel.node_count(); ++i) {
-      const SkeletonNode& n = skel.node(static_cast<int32_t>(i));
-      if (!n.materialized || n.is_super_root) continue;
-      if ((n.materialized_components & components) != components) continue;
-      PlanStep step;
-      step.kind = PlanStep::Kind::kLoadMaterialized;
-      step.node = n.id;
-      g.AddEdge(g.origin, n.id,
-                costs_.memory_cost_factor * costs_.bytes_per_element *
-                    static_cast<double>(n.element_count),
-                step);
-    }
-    // The base graph's edges map 1:1 onto plan steps; Dijkstra's parent
-    // edges reference the *augmented* edge ids, which we translate back via
-    // the stored steps. Keep the aug edge list alongside.
-    std::vector<double> dist;
-    std::vector<int32_t> parent;
-    g.Dijkstra(g.origin, &dist, &parent);
+    };
+    build(g.origin, &cache->from_root);
+    build(last_leaf, &cache->from_last);
     cache->skeleton_version = skel.version();
     cache->components = components;
-    cache->dist = std::move(dist);
-    // Translate parent aug-edge ids to (kind, skeleton ids) by re-walking;
-    // store the aug edge index and rebuild steps below from the aug graph.
-    // To keep the cache self-contained we instead store, per node, the
-    // skeleton edge id (>= 0) or ~node for a materialized load (< -1).
-    cache->parent_edge.assign(skel.node_count(), -1);
-    for (size_t v = 0; v < skel.node_count(); ++v) {
-      const int32_t aug_eid = parent[v];
-      if (aug_eid < 0) continue;
-      const auto& e = g.edges[aug_eid];
-      if (e.step.kind == PlanStep::Kind::kLoadMaterialized) {
-        cache->parent_edge[v] = -2 - e.step.node;  // Encoded materialized load.
-      } else {
-        cache->parent_edge[v] = e.step.edge;
-      }
-    }
   }
 
+  // The current graph as a start (Section 4.5): load it, undo the whole
+  // recent tail down to the newest leaf, then follow the newest-leaf tree.
+  // Both weights are PlanSnapshots' kLoadCurrent and recent-tail edges.
+  const double current_start =
+      ctx_.has_current && ctx_.allow_current
+          ? CurrentLoadWeight() + RecentWeight(last_boundary, ctx_.recent_end,
+                                               last_boundary)
+          : kInf;
+  auto via_current = [&](int32_t v) {
+    return current_start + cache->from_last.dist[v];
+  };
+  auto best = [&](int32_t v) {
+    return std::min(cache->from_root.dist[v], via_current(v));
+  };
+
   // Resolve the terminal: exact leaf, or one side of a leaf-eventlist.
-  const auto& leaves = skel.leaves();
   const Timestamp first_boundary = skel.node(leaves.front()).boundary_time;
   int32_t target = -1;
   int32_t el_edge = -1;  // Partial eventlist to apply after reaching target.
@@ -495,7 +488,7 @@ Result<Plan> Planner::PlanSinglepointCached(Timestamp t, unsigned components,
       const double span = std::max<double>(1.0, static_cast<double>(b_hi - b_lo));
       const double w_left = total * static_cast<double>(t - b_lo) / span;
       const double w_right = total * static_cast<double>(b_hi - t) / span;
-      if (cache->dist[left] + w_left <= cache->dist[right] + w_right) {
+      if (best(left) + w_left <= best(right) + w_right) {
         target = left;
         forward = true;
         lo = b_lo;
@@ -510,19 +503,25 @@ Result<Plan> Planner::PlanSinglepointCached(Timestamp t, unsigned components,
       }
     }
   }
-  if (cache->dist[target] == kInf) {
-    // The target is not reachable through persisted skeleton edges alone —
-    // e.g. it lives in a leaf cut by appends after the last Finalize, whose
-    // root is not yet attached to the super-root. The general planner also
-    // knows the current-graph and recent-eventlist edges; use it.
+  if (best(target) == kInf) {
+    // Neither tree reaches the target — e.g. a leaf cut by appends after the
+    // last Finalize, with no current graph to come down from. The general
+    // planner knows the same edges and reports the failure.
     return PlanSnapshots({t}, components);
   }
 
-  // Unfold the cached parent chain into a linear plan.
+  // Unfold the winning tree's parent chain into a linear plan; ties go to
+  // the super-root tree. A shortest path through the current graph never
+  // passes the super-root (that path is dominated by the super-root tree's).
+  const bool from_current = via_current(target) < cache->from_root.dist[target];
+  const SsspCache::Tree& tree = from_current ? cache->from_last : cache->from_root;
+  const int32_t source = from_current ? last_leaf : skel.super_root();
   std::vector<PlanStep> steps;
-  for (int32_t v = target; v != skel.super_root();) {
-    const int32_t enc = cache->parent_edge[v];
-    if (enc == -1) return Status::Internal("planner: broken cached path");
+  for (int32_t v = target; v != source;) {
+    const int32_t enc = tree.parent_edge[v];
+    if (enc == -1 || (from_current && (enc <= -2 || v == skel.super_root()))) {
+      return Status::Internal("planner: broken cached path");
+    }
     PlanStep step;
     if (enc <= -2) {
       step.kind = PlanStep::Kind::kLoadMaterialized;
@@ -543,12 +542,26 @@ Result<Plan> Planner::PlanSinglepointCached(Timestamp t, unsigned components,
     steps.push_back(step);
     v = (e.to == v) ? e.from : e.to;
   }
+  if (from_current) {
+    // Collected target-first, so the start goes in last: undo the pinned
+    // recent tail backward (PlanSnapshots' tail edge, inverted), after
+    // loading the current graph.
+    PlanStep undo_tail;
+    undo_tail.kind = PlanStep::Kind::kApplyRecentEvents;
+    undo_tail.forward = false;
+    undo_tail.lo = last_boundary;
+    undo_tail.hi = kMaxTimestamp;
+    steps.push_back(undo_tail);
+    PlanStep load;
+    load.kind = PlanStep::Kind::kLoadCurrent;
+    steps.push_back(load);
+  }
   std::reverse(steps.begin(), steps.end());
 
   Plan plan;
   plan.root = std::make_unique<PlanNode>();
   PlanNode* cursor = plan.root.get();
-  plan.estimated_cost = cache->dist[target] + partial_weight;
+  plan.estimated_cost = best(target) + partial_weight;
   for (const auto& step : steps) {
     auto child = std::make_unique<PlanNode>();
     PlanNode* next = child.get();
@@ -578,36 +591,7 @@ Result<Plan> Planner::PlanNodes(const std::vector<int32_t>& node_ids,
     return Status::InvalidArgument("planner: index has no super-root yet");
   }
   AugGraph g;
-  for (size_t i = 0; i < skel.node_count(); ++i) g.AddNode();
-  g.origin = skel.super_root();
-  for (size_t i = 0; i < skel.edge_count(); ++i) {
-    const SkeletonEdge& e = skel.edge(static_cast<int32_t>(i));
-    if (e.deleted) continue;
-    PlanStep step;
-    step.edge = e.id;
-    step.forward = true;
-    if (e.is_eventlist) {
-      step.kind = PlanStep::Kind::kApplyEvents;
-      step.lo = skel.node(e.from).boundary_time;
-      step.hi = skel.node(e.to).boundary_time;
-    } else {
-      step.kind = PlanStep::Kind::kApplyDelta;
-    }
-    const double w =
-        costs_.per_edge_overhead + static_cast<double>(e.sizes.TotalBytes(components));
-    g.AddEdge(e.from, e.to, w, step);
-  }
-  for (size_t i = 0; ctx_.allow_materialized && i < skel.node_count(); ++i) {
-    const SkeletonNode& n = skel.node(static_cast<int32_t>(i));
-    if (!n.materialized || n.is_super_root) continue;
-    if ((n.materialized_components & components) != components) continue;
-    PlanStep step;
-    step.kind = PlanStep::Kind::kLoadMaterialized;
-    step.node = n.id;
-    const double w = costs_.memory_cost_factor * costs_.bytes_per_element *
-                     static_cast<double>(n.element_count);
-    g.AddEdge(g.origin, n.id, w, step);
-  }
+  AddBaseGraph(&g, components);
   std::vector<int32_t> terminal_nodes;
   for (int32_t id : node_ids) {
     if (id < 0 || static_cast<size_t>(id) >= skel.node_count()) {

@@ -34,24 +34,36 @@ struct PlannerCosts {
   double bytes_per_element = 24.0;     ///< Copy cost of materialized graphs.
 };
 
-/// \brief Cached single-source shortest paths from the super-root, the
+/// \brief Cached single-source shortest paths over the base skeleton, the
 /// incremental-planning optimization the paper lists as ongoing work
 /// ("incrementally maintaining single source shortest paths to handle very
 /// large DeltaGraph skeletons", Section 4.3).
 ///
-/// The distances from the super-root depend only on the skeleton (including
-/// materialization flags) and the requested components, not on the query
-/// time point, so consecutive singlepoint queries reuse one Dijkstra run.
-/// The skeleton's version counter invalidates the cache on any change.
+/// Every path from the plan origin starts either with a super-root edge or
+/// with the current-graph load, and the current graph connects only to the
+/// newest leaf (Section 4.5). So two trees answer every singlepoint query:
+/// one rooted at the super-root and one rooted at the newest leaf. Both
+/// depend only on the skeleton (including materialization flags) and the
+/// requested components, not on the query time point or the recent tail, so
+/// consecutive singlepoint queries reuse one pair of Dijkstra runs. The
+/// skeleton's version counter invalidates the cache on any change.
 struct SsspCache {
+  /// One shortest-path tree. `parent_edge[v]` is the skeleton edge id
+  /// toward the source, `-2 - node` for a materialized load off the
+  /// super-root, or -1 at the source and at unreached nodes.
+  struct Tree {
+    std::vector<double> dist;  ///< Per skeleton node.
+    std::vector<int32_t> parent_edge;
+  };
+
   uint64_t skeleton_version = ~0ull;  ///< Version this cache was built at.
   unsigned components = 0;
-  std::vector<double> dist;           ///< Per skeleton node.
-  std::vector<int32_t> parent_edge;   ///< Skeleton edge ids toward super-root.
+  Tree from_root;  ///< Source: the super-root.
+  Tree from_last;  ///< Source: the newest leaf, where the current graph attaches.
 
   bool ValidFor(const Skeleton& skel, unsigned comps) const {
     return skeleton_version == skel.version() && components == comps &&
-           dist.size() == skel.node_count();
+           from_root.dist.size() == skel.node_count();
   }
 };
 
@@ -69,10 +81,12 @@ class Planner {
   Planner(PlannerContext ctx, PlannerCosts costs = {})
       : ctx_(ctx), costs_(costs) {}
 
-  /// Plans one snapshot retrieval using (and refreshing) a cached
-  /// super-root SSSP over the base skeleton. Falls back to the uncached path
-  /// for times beyond the last leaf boundary (those depend on the volatile
-  /// recent eventlist). `cache` may be empty/mismatched; it is rebuilt.
+  /// Plans one snapshot retrieval using (and refreshing) the cached
+  /// super-root and newest-leaf trees. The current-graph start is priced per
+  /// query with the same weights PlanSnapshots gives it, so the plan cost
+  /// equals PlanSnapshots({t})'s. Falls back to the uncached path for times
+  /// beyond the last leaf boundary (those split the volatile recent
+  /// eventlist). `cache` may be empty/mismatched; it is rebuilt.
   Result<Plan> PlanSinglepointCached(Timestamp t, unsigned components,
                                      SsspCache* cache) const;
 
@@ -89,6 +103,14 @@ class Planner {
   struct AugGraph;  // The augmented search graph; defined in planner.cc.
 
  private:
+  /// Fills `g` with the skeleton's nodes and live edges plus the
+  /// materialized-node loads off the super-root; sets the origin.
+  void AddBaseGraph(AugGraph* g, unsigned components) const;
+  /// Weight of the super-root -> current graph load.
+  double CurrentLoadWeight() const;
+  /// Weight of replaying the recent events in (lo, hi]: the tail's in-memory
+  /// replay cost, prorated by time over (last_boundary, recent_end].
+  double RecentWeight(Timestamp lo, Timestamp hi, Timestamp last_boundary) const;
   Result<Plan> SolveSteiner(AugGraph& g, const std::vector<int32_t>& terminals) const;
 
   PlannerContext ctx_;

@@ -390,7 +390,17 @@ Result<Plan> DeltaGraph::PlanForAt(const FrontierPtr& frontier,
                                    const std::vector<Timestamp>& times,
                                    unsigned components) const {
   Planner planner(MakePlannerContext(*frontier));
-  auto plan = planner.PlanSnapshots(times, components);
+  Result<Plan> plan = [&]() -> Result<Plan> {
+    if (times.size() == 1 && options_.use_plan_cache) {
+      // The plan cache is shared mutable state; concurrent retrievals
+      // serialize the (cheap) planning step, never the execution. The cache
+      // keys on the skeleton version, so queries pinned at different epochs
+      // rebuild it rather than reading a mismatched tree.
+      std::lock_guard<std::mutex> lock(sssp_mu_);
+      return planner.PlanSinglepointCached(times[0], components, &sssp_cache_);
+    }
+    return planner.PlanSnapshots(times, components);
+  }();
   if (plan.ok()) RecordPlanTouches(plan.value(), *frontier->skeleton);
   return plan;
 }
@@ -456,21 +466,10 @@ Result<std::vector<Snapshot>> DeltaGraph::GetSnapshotsAt(
     return out;
   }
 
-  Planner planner(MakePlannerContext(*frontier));
   Result<Plan> plan = [&]() -> Result<Plan> {
     obs::StageTimer stage(obs::StagePlanHist());
     obs::ScopedSpan span(tc, "plan");
-    auto r = [&]() -> Result<Plan> {
-      if (times.size() == 1 && options_.use_plan_cache) {
-        // The SSSP cache is shared mutable state; concurrent retrievals
-        // serialize the (cheap) planning step, never the execution. The cache
-        // keys on the skeleton version, so queries pinned at different
-        // epochs rebuild it rather than reading a mismatched tree.
-        std::lock_guard<std::mutex> lock(sssp_mu_);
-        return planner.PlanSinglepointCached(times[0], components, &sssp_cache_);
-      }
-      return planner.PlanSnapshots(times, components);
-    }();
+    auto r = PlanForAt(frontier, times, components);
     if (tc && r.ok()) {
       // Predicted cost next to actuals: the planner's byte estimate for this
       // plan, and the analytical model's balanced-path element count from the
@@ -486,7 +485,6 @@ Result<std::vector<Snapshot>> DeltaGraph::GetSnapshotsAt(
     return r;
   }();
   if (!plan.ok()) return plan.status();
-  RecordPlanTouches(plan.value(), *frontier->skeleton);
   auto exec = ExecuteSnapshotPlan(plan.value(), components, frontier, tc);
   if (!exec.ok()) return exec.status();
   obs::StageTimer merge_stage(obs::StageMergeHist());

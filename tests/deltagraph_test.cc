@@ -662,6 +662,70 @@ TEST_F(DeltaGraphTest, OpenRestoresIndex) {
   EXPECT_TRUE(dg2->current().Equals(ReplayAt(trace.events, t_max)));
 }
 
+// The writer keeps the frontier's current_elements per event instead of
+// recounting the graph; it must equal a full recount after every AppendAll
+// batch, after every Finalize, and after Open.
+TEST_F(DeltaGraphTest, FrontierCurrentElementsMatchesRecount) {
+  RandomTraceOptions opts;
+  opts.num_events = 4000;
+  opts.seed = 61;
+  opts.p_add_edge = 0.28;
+  opts.p_del_edge = 0.15;
+  opts.p_del_node = 0.04;
+  opts.p_node_attr = 0.20;
+  opts.p_edge_attr = 0.12;  // The remaining 3% are transient edges.
+  GeneratedTrace trace = GenerateRandomTrace(opts);
+  // The trace exercises every kind of element change.
+  size_t overwrites = 0, removals = 0, deletes = 0, transients = 0;
+  for (const Event& e : trace.events) {
+    const bool attr = e.type == EventType::kNodeAttr || e.type == EventType::kEdgeAttr;
+    overwrites += attr && e.old_value.has_value() && e.new_value.has_value();
+    removals += attr && e.old_value.has_value() && !e.new_value.has_value();
+    deletes += e.type == EventType::kDeleteNode || e.type == EventType::kDeleteEdge;
+    transients += e.is_transient();
+  }
+  ASSERT_GT(overwrites, 0u);
+  ASSERT_GT(removals, 0u);
+  ASSERT_GT(deletes, 0u);
+  ASSERT_GT(transients, 0u);
+
+  store_ = NewMemKVStore();
+  DeltaGraphOptions dgo;
+  dgo.leaf_size = 150;
+  auto created = DeltaGraph::Create(store_.get(), dgo);
+  ASSERT_TRUE(created.ok());
+  dg_ = std::move(created).value();
+  auto expect_recount = [&](const std::string& when) {
+    const FrontierPtr f = dg_->PinFrontier();
+    ASSERT_NE(f->current, nullptr) << when;
+    EXPECT_EQ(f->current_elements, f->current->ElementCount()) << when;
+  };
+
+  size_t next = 0;
+  for (size_t batch = 0; next < trace.events.size(); ++batch) {
+    const size_t n = std::min(trace.events.size() - next, 1 + (batch * 37) % 200);
+    const std::vector<Event> chunk(trace.events.begin() + next,
+                                   trace.events.begin() + next + n);
+    ASSERT_TRUE(dg_->AppendAll(chunk).ok());
+    next += n;
+    expect_recount("after batch " + std::to_string(batch));
+    if (batch % 9 == 8) {
+      ASSERT_TRUE(dg_->Finalize().ok());
+      expect_recount("after Finalize at batch " + std::to_string(batch));
+    }
+  }
+  ASSERT_TRUE(dg_->Finalize().ok());
+  expect_recount("after the last Finalize");
+  const uint64_t before_reopen = dg_->PinFrontier()->current_elements;
+
+  dg_.reset();
+  auto reopened = DeltaGraph::Open(store_.get());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  dg_ = std::move(reopened).value();
+  expect_recount("after Open");
+  EXPECT_EQ(dg_->PinFrontier()->current_elements, before_reopen);
+}
+
 TEST_F(DeltaGraphTest, CollectEventsWindowIncludesTransients) {
   std::vector<Event> events;
   events.push_back(Event::AddNode(1, 1));

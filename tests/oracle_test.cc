@@ -14,13 +14,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "deltagraph/delta_graph.h"
 #include "deltagraph/partitioned_delta_graph.h"
 #include "exec/io_pool.h"
+#include "exec/retrieval_session.h"
 #include "exec/task_pool.h"
 #include "kvstore/kv_store.h"
 #include "tests/test_oracle.h"
@@ -263,6 +266,119 @@ TEST(ReplayOracleTest, PostFinalizeAppendsVisibleAtBoundaryTimes) {
       EXPECT_TRUE(oracle.Matches(got.value())) << "t=" << t;
     }
   }
+}
+
+// Single-point queries near the head, where the cached planner starts from
+// the current graph and undoes the recent tail (Section 4.5): every leaf
+// boundary of the newest four leaves and points inside their eventlists,
+// through GetSnapshot and through a RetrievalSession (which plans through
+// PlanForAt). Checked right after Finalize — the tail then holds only the
+// held-back equal-time run — and again after further appends have grown the
+// tail and cut new leaves.
+TEST(ReplayOracleTest, SinglepointNearHeadMatchesNaiveReplay) {
+  for (uint64_t seed : test::PropertySeeds(10, 9400)) {
+    test::SeededRng rng(seed);
+    SCOPED_TRACE(rng.Desc());
+
+    RandomTraceOptions topts;
+    topts.num_events = 900 + rng.Uniform(600);
+    topts.seed = seed * 53 + 7;
+    topts.p_same_time = 0.10 + rng.NextDouble() * 0.30;
+    topts.p_node_attr = 0.10 + rng.NextDouble() * 0.20;
+    topts.p_edge_attr = 0.05 + rng.NextDouble() * 0.15;
+    GeneratedTrace trace = GenerateRandomTrace(topts);
+    const size_t split = trace.events.size() * 3 / 4;
+
+    auto store = NewMemKVStore();
+    DeltaGraphOptions opts;
+    opts.leaf_size = 40 + rng.Uniform(60);
+    opts.arity = 2 + static_cast<int>(rng.Uniform(2));
+    auto created = DeltaGraph::Create(store.get(), opts);
+    ASSERT_TRUE(created.ok());
+    DeltaGraph& dg = *created.value();
+
+    auto check = [&](const std::vector<Event>& log, const std::string& phase) {
+      SCOPED_TRACE(phase);
+      const Skeleton& skel = dg.skeleton();
+      const auto& leaves = skel.leaves();
+      std::vector<Timestamp> times;
+      const size_t first = leaves.size() >= 4 ? leaves.size() - 4 : 0;
+      for (size_t i = first; i < leaves.size(); ++i) {
+        const Timestamp b = skel.node(leaves[i]).boundary_time;
+        times.push_back(b);
+        if (i + 1 < leaves.size()) {
+          const Timestamp next = skel.node(leaves[i + 1]).boundary_time;
+          times.push_back(b + 1);
+          times.push_back(b + (next - b) / 2);
+          times.push_back(next - 1);
+        }
+      }
+      std::sort(times.begin(), times.end());
+      times.erase(std::unique(times.begin(), times.end()), times.end());
+
+      RetrievalSession session(&dg);
+      std::vector<RetrievalSession::Request*> requests;
+      for (Timestamp t : times) requests.push_back(session.Submit({t}));
+      ASSERT_TRUE(session.Wait().ok());
+      size_t from_current = 0;
+      for (const auto* req : requests) {
+        const auto& root_steps = req->plan.root->children;
+        from_current += !root_steps.empty() &&
+                        root_steps[0].first.kind == PlanStep::Kind::kLoadCurrent;
+      }
+      EXPECT_GT(from_current, 0u) << "no plan started from the current graph";
+      for (size_t i = 0; i < times.size(); ++i) {
+        const Timestamp t = times[i];
+        const auto oracle = test::NaiveReplayOracle::At(log, t, kCompAll);
+        auto got = dg.GetSnapshot(t);
+        ASSERT_TRUE(got.ok()) << got.status().ToString() << " t=" << t;
+        EXPECT_TRUE(oracle.Matches(got.value())) << "GetSnapshot t=" << t;
+        const auto& via_session = requests[i]->result;
+        ASSERT_TRUE(via_session.ok()) << via_session.status().ToString() << " t=" << t;
+        EXPECT_TRUE(oracle.Matches(via_session.value()[0])) << "session t=" << t;
+      }
+    };
+
+    const std::vector<Event> head(trace.events.begin(), trace.events.begin() + split);
+    ASSERT_TRUE(dg.AppendAll(head).ok());
+    ASSERT_TRUE(dg.Finalize().ok());
+    check(head, "after Finalize");
+
+    const std::vector<Event> more(trace.events.begin() + split, trace.events.end());
+    ASSERT_TRUE(dg.AppendAll(more).ok());
+    check(trace.events, "after further appends");
+  }
+}
+
+// The one index shape whose recent tail is empty after Finalize: an initial
+// snapshot with nothing appended. Its single-point plan starts from the
+// current graph with nothing to undo.
+TEST(ReplayOracleTest, SinglepointFromInitialSnapshotWithEmptyTail) {
+  RandomTraceOptions topts;
+  topts.num_events = 600;
+  topts.seed = 77;
+  GeneratedTrace bootstrap = GenerateRandomTrace(topts);
+  const Timestamp t0 = bootstrap.events.back().time;
+  Snapshot g0;
+  for (const Event& e : bootstrap.events) ASSERT_TRUE(g0.Apply(e, true).ok());
+
+  auto store = NewMemKVStore();
+  auto created = DeltaGraph::Create(store.get(), DeltaGraphOptions{});
+  ASSERT_TRUE(created.ok());
+  DeltaGraph& dg = *created.value();
+  ASSERT_TRUE(dg.SetInitialSnapshot(g0, t0).ok());
+  ASSERT_TRUE(dg.Finalize().ok());
+  const FrontierPtr frontier = dg.PinFrontier();
+  ASSERT_TRUE(frontier->recent.empty());
+
+  auto plan = dg.PlanForAt(frontier, {t0});
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_FALSE(plan.value().root->children.empty());
+  EXPECT_EQ(plan.value().root->children[0].first.kind, PlanStep::Kind::kLoadCurrent);
+  auto got = dg.GetSnapshot(t0);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  const auto oracle = test::NaiveReplayOracle::At(bootstrap.events, t0, kCompAll);
+  EXPECT_TRUE(oracle.Matches(got.value()));
 }
 
 }  // namespace

@@ -271,11 +271,97 @@ TEST_F(PlannerFixture, CachedSinglepointMatchesUncachedCost) {
     ASSERT_TRUE(cached.ok()) << "t=" << t;
     ASSERT_TRUE(full.ok());
     EXPECT_NEAR(cached.value().estimated_cost, full.value().estimated_cost,
-                full.value().estimated_cost * 0.25 + 64.0)
+                full.value().estimated_cost * 1e-6)
         << "t=" << t;
   }
   // The SSSP ran once: the cache stayed valid across the whole sweep.
   EXPECT_TRUE(cache.ValidFor(skel_, kCompStruct));
+}
+
+// With a current graph and a recent tail, the cached planner must price the
+// current-graph start exactly as the general planner does: same cost at
+// boundaries, mid-eventlist points and times before the first leaf, with and
+// without a materialized node, and whatever the current graph's size. One
+// cache serves every context — the current-graph terms are per query.
+TEST_F(PlannerFixture, CachedSinglepointWithCurrentMatchesUncachedCost) {
+  const std::vector<Timestamp> times = {1, 5, 10, 12, 15, 20, 22, 29,
+                                        30, 31, 35, 39, 40};
+  SsspCache cache;
+  for (bool materialize : {false, true}) {
+    if (materialize) {
+      skel_.mutable_node(b_)->materialized = true;
+      skel_.mutable_node(b_)->materialized_components = kCompAll;
+      skel_.mutable_node(b_)->element_count = 150;
+    }
+    for (size_t recent_count : {size_t{0}, size_t{7}, size_t{100}}) {
+      for (uint64_t current_elements : {uint64_t{10}, uint64_t{400}, uint64_t{100000}}) {
+        PlannerContext ctx = Ctx();
+        ctx.has_current = true;
+        ctx.current_elements = current_elements;
+        ctx.recent_count = recent_count;
+        ctx.recent_end = recent_count == 0 ? kMinTimestamp : 50;
+        Planner planner(ctx);
+        for (Timestamp t : times) {
+          SCOPED_TRACE("t=" + std::to_string(t) + " materialized=" +
+                       std::to_string(materialize) + " recent=" +
+                       std::to_string(recent_count) + " current=" +
+                       std::to_string(current_elements));
+          auto cached = planner.PlanSinglepointCached(t, kCompStruct, &cache);
+          auto full = planner.PlanSnapshots({t}, kCompStruct);
+          ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+          ASSERT_TRUE(full.ok());
+          EXPECT_NEAR(cached.value().estimated_cost, full.value().estimated_cost,
+                      full.value().estimated_cost * 1e-6);
+          // Both start the same way (the current graph or not).
+          const auto cached_steps = LinearSteps(cached.value());
+          const auto full_steps = LinearSteps(full.value());
+          ASSERT_FALSE(cached_steps.empty());
+          ASSERT_FALSE(full_steps.empty());
+          EXPECT_EQ(cached_steps[0].kind == PlanStep::Kind::kLoadCurrent,
+                    full_steps[0].kind == PlanStep::Kind::kLoadCurrent);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(cache.ValidFor(skel_, kCompStruct));
+}
+
+TEST_F(PlannerFixture, CachedSinglepointInNewestEventlistStartsFromCurrent) {
+  PlannerContext ctx = Ctx();
+  ctx.has_current = true;
+  ctx.current_elements = 100;  // 120 bytes to copy vs 542 down from the root.
+  ctx.recent_count = 100;
+  ctx.recent_end = 50;
+  Planner planner(ctx);
+  SsspCache cache;
+  for (Timestamp t : {35, 39, 40}) {
+    auto plan = planner.PlanSinglepointCached(t, kCompStruct, &cache);
+    ASSERT_TRUE(plan.ok()) << "t=" << t;
+    auto steps = LinearSteps(plan.value());
+    ASSERT_GE(steps.size(), 2u) << "t=" << t;
+    EXPECT_EQ(steps[0].kind, PlanStep::Kind::kLoadCurrent) << "t=" << t;
+    // Then undo the whole recent tail back to the newest leaf (L3).
+    EXPECT_EQ(steps[1].kind, PlanStep::Kind::kApplyRecentEvents);
+    EXPECT_FALSE(steps[1].forward);
+    EXPECT_EQ(steps[1].lo, 40);
+    EXPECT_EQ(steps[1].hi, kMaxTimestamp);
+    if (t == 40) {
+      EXPECT_EQ(steps.size(), 2u);  // L3 itself: nothing left to apply.
+    } else {
+      // Back into (30, 40] along the newest eventlist.
+      EXPECT_EQ(steps.back().kind, PlanStep::Kind::kApplyEvents);
+      EXPECT_EQ(steps.back().edge, e_l23_);
+      EXPECT_FALSE(steps.back().forward);
+      EXPECT_EQ(steps.back().lo, t);
+      EXPECT_EQ(steps.back().hi, 40);
+    }
+  }
+  // With the current graph unusable, the same query descends from the root.
+  ctx.allow_current = false;
+  Planner no_current(ctx);
+  auto plan = no_current.PlanSinglepointCached(35, kCompStruct, &cache);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(LinearSteps(plan.value())[0].kind, PlanStep::Kind::kApplyDelta);
 }
 
 TEST_F(PlannerFixture, CacheInvalidatedBySkeletonChange) {
