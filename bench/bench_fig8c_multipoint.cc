@@ -3,10 +3,10 @@
 // The paper retrieves 2..6 snapshots spaced one month apart from Dataset 1;
 // the Steiner-planned multipoint query fetches shared deltas once and wins
 // decisively because adjacent snapshots overlap heavily. On top of the
-// paper's comparison we time the multipoint plan under both executors: the
-// serial backtracking visitor and the parallel subtree executor
-// (HISTGRAPH_THREADS workers, default 4), which the acceptance gate of the
-// exec subsystem tracks at k >= 8.
+// paper's comparison we time the multipoint plan under the COW-fork plan
+// executor twice: forced serial (a parallelism-1 pool, every subtree run
+// inline) and on the parallel pool (HISTGRAPH_THREADS workers, default 4),
+// which the acceptance gate of the exec subsystem tracks at k >= 8.
 
 #include <algorithm>
 #include <unordered_map>
@@ -35,8 +35,8 @@ int main() {
   opts.maintain_current = false;
   auto dg = BuildIndex(store.get(), data, opts);
 
-  // HISTGRAPH_THREADS is honored exactly; at 1 the "parallel" columns fall
-  // back to the serial executor (the gate in ExecuteSnapshotPlan), so a
+  // HISTGRAPH_THREADS is honored exactly; at 1 the "parallel" columns run
+  // every subtree inline on the caller, exactly like the serial columns, so a
   // thread-scaling sweep over the env knob stays truthful.
   const int threads = static_cast<int>(GetEnvInt("HISTGRAPH_THREADS", 4));
   TaskPool pool(threads);

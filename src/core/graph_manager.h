@@ -60,7 +60,7 @@ struct GraphManagerOptions {
   double dependent_overlay_threshold = 0.25;
   /// Parallelism of multipoint plan execution. 0 = the process-wide default
   /// (HISTGRAPH_THREADS, falling back to the hardware concurrency); 1 forces
-  /// the serial executor; N >= 2 runs this manager's retrievals on a private
+  /// serial execution; N >= 2 runs this manager's retrievals on a private
   /// pool of N threads. Negative values are treated as 1 (forced serial).
   int exec_parallelism = 0;
   /// Parallelism of the asynchronous fetch prefetcher. 0 = the process-wide

@@ -30,7 +30,6 @@ namespace hgdb {
 
 class TaskPool;        // src/exec/task_pool.h
 class IoPool;          // src/exec/io_pool.h
-class ExecFetchCache;  // src/exec/fetch_cache.h
 
 /// Construction parameters of a DeltaGraph (Section 4.6): the leaf-eventlist
 /// size L, the arity k, and the differential function(s). Multiple functions
@@ -73,29 +72,10 @@ struct DeltaGraphStats {
 
 /// Applies the events with lo < time <= hi to `g`: forward applies them
 /// oldest-first, backward applies the same range newest-first, inverted.
-/// Shared by the serial plan visitor and the parallel executor. Takes a span
-/// so both owned eventlists and pinned recent-tail views apply through one
-/// path.
+/// Takes a span so both owned eventlists and pinned recent-tail views apply
+/// through one path.
 Status ApplyEventRange(std::span<const Event> events, Snapshot* g, bool forward,
                        Timestamp lo, Timestamp hi, unsigned components);
-
-/// \brief Visitor over a plan execution (used for snapshot retrieval and for
-/// auxiliary-index retrieval over the same plan).
-class PlanVisitor {
- public:
-  virtual ~PlanVisitor() = default;
-  virtual Status LoadMaterialized(int32_t node) = 0;
-  virtual Status LoadCurrent() = 0;
-  /// Undo of LoadMaterialized/LoadCurrent during backtracking.
-  virtual Status Unload() = 0;
-  virtual Status ApplyDelta(int32_t edge, bool forward) = 0;
-  virtual Status ApplyEvents(int32_t edge, bool forward, Timestamp lo, Timestamp hi) = 0;
-  virtual Status ApplyRecentEvents(bool forward, Timestamp lo, Timestamp hi) = 0;
-  /// `is_final` marks the very last emit of the plan: the working snapshot
-  /// will not be used again, so the visitor may move instead of copy.
-  virtual Status EmitTime(Timestamp t, bool is_final) = 0;
-  virtual Status EmitNode(int32_t node, bool is_final) = 0;
-};
 
 /// \brief The DeltaGraph: a hierarchical delta-based index over the history
 /// of a graph (Section 4), storing its payloads in a key-value store and its
@@ -149,8 +129,8 @@ class DeltaGraph {
   /// Multipoint retrieval (Section 4.4): one Steiner-planned pass fetching
   /// each shared delta once. Returns snapshots in the order of `times`.
   /// Independent plan subtrees execute concurrently on the attached task
-  /// pool when it has parallelism >= 2 (see SetTaskPool); results are
-  /// identical to serial execution.
+  /// pool when it has parallelism >= 2 (see SetTaskPool); results do not
+  /// depend on the pool.
   Result<std::vector<Snapshot>> GetSnapshots(const std::vector<Timestamp>& times,
                                              unsigned components = kCompAll);
 
@@ -208,22 +188,6 @@ class DeltaGraph {
   /// Exposes the plan the index would execute (benchmarks, tests, EXPLAIN).
   Result<Plan> PlanFor(const std::vector<Timestamp>& times,
                        unsigned components = kCompAll) const;
-
-  /// Runs a plan with a custom visitor (auxiliary-index retrieval reuses the
-  /// snapshot plan machinery this way).
-  Status ExecutePlan(const Plan& plan, PlanVisitor* visitor) const;
-
-  /// Executes an already-built snapshot plan with the serial backtracking
-  /// visitor, resolving every fetch through `pinned` when non-null — e.g. a
-  /// cache an external prefetch pass has already filled. The partitioned
-  /// index uses this to run per-shard plans serially behind one up-front
-  /// cross-shard prefetch; with `pinned` null it is a plain serial execute.
-  /// `frontier` fixes the visibility epoch (null pins the latest); the plan
-  /// must have been built against the same frontier.
-  Result<SnapshotPlanResults> ExecutePlanPinned(const Plan& plan, unsigned components,
-                                                ExecFetchCache* pinned,
-                                                obs::TraceCtx tc = {},
-                                                FrontierPtr frontier = nullptr) const;
 
   /// Collects all events with ts <= time < te, including transient events if
   /// requested (backs GetHistGraphInterval).
@@ -283,21 +247,21 @@ class DeltaGraph {
   const EventList& recent_events() const { return recent_; }
 
   /// Attaches the task pool that multipoint plan execution runs on. nullptr
-  /// forces the serial path. When never called, the default is
-  /// TaskPool::Shared() — resolved lazily, the first time a branchy plan
-  /// executes, so serial-only processes never spawn the pool's threads —
-  /// which is itself serial unless HISTGRAPH_THREADS (or the hardware)
-  /// allows >= 2 threads. Retrieval is safe to run concurrently from several
-  /// threads, but this setter itself must not race with in-flight queries.
+  /// forces serial execution. When never called, the default is
+  /// TaskPool::Shared(), which is itself serial unless HISTGRAPH_THREADS (or
+  /// the hardware) allows >= 2 threads. Retrieval is safe to run concurrently
+  /// from several threads, but this setter itself must not race with
+  /// in-flight queries.
   void SetTaskPool(TaskPool* pool) {
     exec_pool_ = pool;
     exec_pool_set_ = true;
   }
-  /// The explicitly attached pool (nullptr when defaulted or forced serial).
-  TaskPool* task_pool() const { return exec_pool_; }
-  /// True once SetTaskPool was called — distinguishes "forced serial"
-  /// (set to nullptr) from "never configured" (lazy shared default).
-  bool task_pool_overridden() const { return exec_pool_set_; }
+  /// The pool plans run on: the attached one, TaskPool::Serial() when forced
+  /// serial, or TaskPool::Shared() when never configured. Never null. The
+  /// shared pool is constructed on first resolution, so callers resolve only
+  /// when they have work to fork (retrieval resolves for branchy plans
+  /// only), and serial-only processes never spawn its threads.
+  TaskPool* ResolveTaskPool() const;
 
   /// Attaches the I/O pool that plan-driven prefetch runs on. nullptr
   /// disables prefetching (every fetch blocks its worker, the pre-PR 3
@@ -308,8 +272,6 @@ class DeltaGraph {
     io_pool_ = pool;
     io_pool_set_ = true;
   }
-  IoPool* io_pool() const { return io_pool_; }
-  bool io_pool_overridden() const { return io_pool_set_; }
   /// The pool prefetch actually uses: the attached one, or the shared
   /// default when never configured (nullptr = prefetch disabled).
   IoPool* ResolveIoPool() const;
@@ -357,8 +319,6 @@ class DeltaGraph {
   /// Materialization's own PlanNodes work is deliberately not counted: the
   /// advisor must not see its own actions as traffic.
   void RecordPlanTouches(const Plan& plan, const Skeleton& skel) const;
-  Status WalkPlanNode(const PlanNode& node, PlanVisitor* visitor, bool is_tail) const;
-  Status ApplyPlanStep(const PlanStep& step, PlanVisitor* visitor, bool undo) const;
 
   /// Flushes the first `prefix` recent events as a leaf + eventlist edge,
   /// leaving the remainder in the recent eventlist. Callers must never place
@@ -438,8 +398,6 @@ class DeltaGraph {
   std::vector<AuxIndexHook*> aux_hooks_;
 
   std::string metrics_export_name_;  ///< Non-empty after RegisterMetricsExports.
-
-  friend class SnapshotPlanVisitor;
 };
 
 }  // namespace hgdb

@@ -89,8 +89,8 @@ class FetchFrequency {
 /// are, so queries fetch exactly what they need.
 ///
 /// A small LRU of *decoded* deltas/eventlists sits above the KVStore, keyed
-/// by (delta id, requested components). SnapshotPlanVisitor already caches
-/// decodes within one plan; this cache carries them across consecutive plans
+/// by (delta id, requested components). The plan executor's ExecFetchCache
+/// pins decodes within one plan; this cache carries them across consecutive plans
 /// that traverse the same skeleton edges (repeated singlepoint queries, the
 /// paper's Section 6 access pattern), skipping the fetch, the decompression,
 /// and the decode. Entries are shared_ptr-owned so a hit never copies.

@@ -98,9 +98,9 @@ class PartitionedDeltaGraph {
 
   /// The unmerged core of GetSnapshots: `result[shard][i]` is shard `shard`'s
   /// piece of the snapshot at `times[i]`. Plans every shard, issues all
-  /// shards' prefetches up front, then executes the shard plans concurrently
-  /// (sibling task trees on one pool) or serially pinned to the prefilled
-  /// caches when the resolved pool is serial.
+  /// shards' prefetches up front, then executes the shard plans as sibling
+  /// task trees on the resolved pool, each over its prefilled cache (one
+  /// after another, inline, when the pool is serial).
   Result<std::vector<std::vector<Snapshot>>> RetrieveParts(
       const std::vector<Timestamp>& times, unsigned components = kCompAll);
 
@@ -119,9 +119,9 @@ class PartitionedDeltaGraph {
   /// it to every shard. Same contract as DeltaGraph::SetTaskPool: nullptr
   /// forces serial, never calling it defaults to TaskPool::Shared().
   void SetTaskPool(TaskPool* pool);
-  TaskPool* task_pool() const { return exec_pool_; }
-  bool task_pool_overridden() const { return exec_pool_set_; }
-  /// The pool retrieval actually uses (nullptr = forced serial).
+  /// The pool retrieval and ingest run on; never null. Same resolution as
+  /// DeltaGraph::ResolveTaskPool: the attached pool, TaskPool::Serial() when
+  /// forced serial, TaskPool::Shared() when never configured.
   TaskPool* ResolveTaskPool() const;
 
   /// Forwards to every shard. Each shard keeps its distinct I/O lane

@@ -24,10 +24,9 @@ class TaskPool;
 /// execution (or one RetrievalSession spanning several), with future-based
 /// entries so an asynchronous prefetcher can fill it ahead of the workers.
 ///
-/// The serial SnapshotPlanVisitor pins decodes in plain maps so backtracking
-/// never refetches; the parallel executor needs the same pin shared across
-/// worker threads, a session wants it shared across *plans*, and the prefetch
-/// pipeline wants to start fetches before any worker needs them. Entries are
+/// The plan executor needs the pin shared across worker threads, a session
+/// wants it shared across *plans*, and the prefetch pipeline wants to start
+/// fetches before any worker needs them. Entries are
 /// keyed by (skeleton edge, components) and live for the cache's lifetime —
 /// unlike the DeltaStore's LRU underneath, nothing is evicted, so a pinned
 /// pointer stays valid without holding the lock.

@@ -58,7 +58,7 @@ void ParallelPlanExecutor::Start(const Plan& plan, TaskGroup* group) {
     exec_timed_ = true;
   }
   if (tc_) {
-    exec_span_ = tc_.trace->BeginSpan("execute.parallel", tc_.span);
+    exec_span_ = tc_.trace->BeginSpan("execute", tc_.span);
     // Nest this execution's fetches under its span — but only through a cache
     // we own; a shared cache already carries its owner's attachment.
     if (fetches_ == &own_cache_) {
@@ -68,9 +68,19 @@ void ParallelPlanExecutor::Start(const Plan& plan, TaskGroup* group) {
   // Queue every fetch the plan will perform before the first worker runs;
   // workers then overlap apply work with the I/O pool's fetches and block
   // only if they outrun it. The fetch cache outlives any still-queued job
-  // (its destructor drains), so early errors cannot strand a prefetch.
-  StartPlanPrefetch(*dg_, *frontier_->skeleton, plan, components_, fetches_,
-                    io_pool_);
+  // (its destructor drains), so early errors cannot strand a prefetch. A
+  // private cache serves this plan alone, so a plan with fewer than two
+  // fetches has nothing to overlap — the walk blocks on its one fetch either
+  // way — and skips the I/O pool (e.g. a singlepoint query served from a
+  // materialized node). A shared cache prefetches every plan: its fetches
+  // overlap the other plans sharing it.
+  if (io_pool_ != nullptr) {
+    const std::vector<PlanFetch> plan_fetches = CollectPlanFetches(plan);
+    if (plan_fetches.size() >= 2 || fetches_ != &own_cache_) {
+      StartCollectedPrefetch(*dg_, *frontier_->skeleton, plan_fetches, components_,
+                             fetches_, io_pool_);
+    }
+  }
   const PlanNode* root = plan.root.get();
   group->Spawn([this, root, group] { RunNode(root, Snapshot(), group); });
 }

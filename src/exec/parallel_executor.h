@@ -14,23 +14,26 @@
 
 namespace hgdb {
 
+class IoPool;
+
 /// True if the plan contains at least one node with two or more children —
 /// i.e. independent subtrees a parallel executor could overlap. Linear chains
 /// (every singlepoint plan) have nothing to parallelize.
 bool PlanHasBranches(const Plan& plan);
 
-/// \brief Executes a retrieval plan with independent subtrees running
-/// concurrently on a TaskPool.
+/// \brief Executes a retrieval plan — the one snapshot-plan executor; every
+/// plan (singlepoint, multipoint, materialization, per-shard, session) runs
+/// here.
 ///
-/// Where the serial SnapshotPlanVisitor walks the plan depth-first and
-/// *backtracks* (applying each non-tail step inversely after finishing its
-/// subtree), the parallel executor *forks*: at a branch node it copies the
-/// working snapshot — an O(1) copy-on-write share — applies each child's step
-/// to its own fork, and schedules the sibling subtrees as tasks, descending
-/// into the last child itself. No undo steps are ever applied. Emits go
-/// through a mutex-guarded sink keyed by emit target (time / node id), so the
-/// assembled results are deterministic and element-for-element identical to
-/// the serial visitor's regardless of task completion order.
+/// The executor walks the plan depth-first and *forks* instead of
+/// backtracking: at a branch node it copies the working snapshot — an O(1)
+/// copy-on-write share — applies each child's step to its own fork, and
+/// schedules the sibling subtrees as tasks, descending into the last child
+/// itself. No undo steps are ever applied. On a pool of parallelism 1
+/// (TaskPool::Serial()) a spawn runs inline, so the same walk is a plain
+/// serial depth-first traversal with no thread hop. Emits go through a
+/// mutex-guarded sink keyed by emit target (time / node id), so the assembled
+/// results are deterministic regardless of task completion order.
 ///
 /// One executor instance serves one plan execution, pinned to one frontier:
 /// every piece of mutable graph state (skeleton, current graph, materialized
@@ -38,8 +41,6 @@ bool PlanHasBranches(const Plan& plan);
 /// plan was built from, so concurrent appends/finalizes cannot skew an
 /// in-flight execution. Concurrent *retrievals* are fine (see
 /// src/exec/README.md for the full concurrency contract).
-class IoPool;
-
 class ParallelPlanExecutor {
  public:
   /// `frontier` is the pinned epoch this execution reads at; the plan must
@@ -49,7 +50,8 @@ class ParallelPlanExecutor {
   /// Both must outlive the execution. `io_pool` (optional) enables
   /// asynchronous prefetch: Start pre-scans the plan and queues every fetch
   /// on the I/O pool before the first worker task runs, so fetch latency
-  /// overlaps apply work (see src/exec/prefetcher.h).
+  /// overlaps apply work (see src/exec/prefetcher.h). With a private cache,
+  /// plans with fewer than two fetches skip the I/O pool.
   ParallelPlanExecutor(const DeltaGraph* dg, FrontierPtr frontier,
                        unsigned components, TaskPool* pool,
                        ExecFetchCache* shared_cache = nullptr,
@@ -66,10 +68,10 @@ class ParallelPlanExecutor {
   Status TakeStatus();
   DeltaGraph::SnapshotPlanResults TakeResults() { return std::move(results_); }
 
-  /// Attributes this execution to `tc`: Start opens an "execute.parallel"
-  /// span (closed by TakeStatus), worker tasks accumulate busy time, and —
-  /// when the executor owns its cache — prefetch drains and demand fetches
-  /// nest under the span. Call before Start; with a shared cache the cache's
+  /// Attributes this execution to `tc`: Start opens an "execute" span
+  /// (closed by TakeStatus), worker tasks accumulate busy time, and — when
+  /// the executor owns its cache — prefetch drains and demand fetches nest
+  /// under the span. Call before Start; with a shared cache the cache's
   /// owner attaches its own trace. No-op for a null trace.
   void SetTrace(obs::TraceCtx tc) { tc_ = tc; }
 

@@ -7,21 +7,9 @@
 
 namespace hgdb {
 
-namespace {
-
-// Mirrors RetrievalSession's pool resolution, over the partitioned index:
-// honor an explicit pool, honor forced-serial, default to the shared pool.
-TaskPool* ResolvePartitionedPool(PartitionedDeltaGraph* pdg, TaskPool* pool) {
-  if (pool != nullptr) return pool;
-  if (pdg->task_pool() != nullptr) return pdg->task_pool();
-  return pdg->task_pool_overridden() ? &TaskPool::Serial() : &TaskPool::Shared();
-}
-
-}  // namespace
-
 PartitionedRetrievalSession::PartitionedRetrievalSession(PartitionedDeltaGraph* pdg,
                                                          TaskPool* pool)
-    : pdg_(pdg), pool_(ResolvePartitionedPool(pdg, pool)), group_(pool_) {
+    : pdg_(pdg), pool_(pool != nullptr ? pool : pdg->ResolveTaskPool()), group_(pool_) {
   // Trace when globally enabled, or when this session wins the production
   // sampler's draw (see src/obs/sampler.h).
   if (obs::TraceEnabled() || obs::TraceSampler::Global().Sample()) {

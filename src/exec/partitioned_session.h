@@ -62,8 +62,7 @@ class PartitionedRetrievalSession {
     obs::SpanId span = obs::kNoSpan;  ///< "request" span; closed by Wait.
   };
 
-  /// `pool` defaults to the index's attached pool (which itself defaults to
-  /// TaskPool::Shared()).
+  /// `pool` defaults to PartitionedDeltaGraph::ResolveTaskPool().
   explicit PartitionedRetrievalSession(PartitionedDeltaGraph* pdg,
                                        TaskPool* pool = nullptr);
   ~PartitionedRetrievalSession();

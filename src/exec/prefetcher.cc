@@ -40,12 +40,6 @@ std::vector<PlanFetch> CollectPlanFetches(const Plan& plan) {
   return out;
 }
 
-void StartPlanPrefetch(const DeltaGraph& dg, const Skeleton& skel, const Plan& plan,
-                       unsigned components, ExecFetchCache* cache, IoPool* io) {
-  if (io == nullptr || cache == nullptr) return;
-  StartCollectedPrefetch(dg, skel, CollectPlanFetches(plan), components, cache, io);
-}
-
 void StartCollectedPrefetch(const DeltaGraph& dg, const Skeleton& skel,
                             const std::vector<PlanFetch>& fetches,
                             unsigned components, ExecFetchCache* cache, IoPool* io) {

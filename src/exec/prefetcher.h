@@ -26,20 +26,16 @@ struct PlanFetch {
 /// recent eventlist) are skipped.
 std::vector<PlanFetch> CollectPlanFetches(const Plan& plan);
 
-/// Issues an asynchronous fetch into `cache` for every edge `plan` touches,
-/// sharded across `io`'s threads by delta id. Edges are resolved against
-/// `skel` — the *pinned frontier's* skeleton, which the plan was built from —
-/// never the live one, so a concurrent leaf cut cannot skew a fetch. Returns
-/// immediately: workers that reach an edge before its fetch lands block on
-/// the cache's future (they only ever wait if they outrun the prefetcher).
-/// The jobs reference `dg` and `cache`, which must stay alive until the
-/// cache drains (~ExecFetchCache waits; `plan` and `skel` are not referenced
-/// after this call returns). No-op when `io` is null.
-void StartPlanPrefetch(const DeltaGraph& dg, const Skeleton& skel, const Plan& plan,
-                       unsigned components, ExecFetchCache* cache, IoPool* io);
-
-/// Same, over an already-collected fetch list (callers that pre-scan
-/// themselves, e.g. to skip prefetch for trivially small plans).
+/// Issues an asynchronous fetch into `cache` for every edge in `fetches`
+/// (collected from a plan by CollectPlanFetches), sharded across `io`'s
+/// threads by delta id. Edges are resolved against `skel` — the *pinned
+/// frontier's* skeleton, which the plan was built from — never the live one,
+/// so a concurrent leaf cut cannot skew a fetch. Returns immediately: workers
+/// that reach an edge before its fetch lands block on the cache's future
+/// (they only ever wait if they outrun the prefetcher). The jobs reference
+/// `dg` and `cache`, which must stay alive until the cache drains
+/// (~ExecFetchCache waits; `fetches` and `skel` are not referenced after this
+/// call returns). No-op when `io` is null.
 void StartCollectedPrefetch(const DeltaGraph& dg, const Skeleton& skel,
                             const std::vector<PlanFetch>& fetches,
                             unsigned components, ExecFetchCache* cache, IoPool* io);

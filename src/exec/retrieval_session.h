@@ -64,8 +64,7 @@ class RetrievalSession {
     }
   };
 
-  /// `pool` defaults to the DeltaGraph's attached pool (which itself
-  /// defaults to TaskPool::Shared()). Prefetch runs on the DeltaGraph's
+  /// `pool` defaults to DeltaGraph::ResolveTaskPool(). Prefetch runs on the DeltaGraph's
   /// resolved I/O pool (SetIoPool / HISTGRAPH_IO_THREADS); each Submit
   /// queues its plan's fetches before execution starts, so requests share
   /// both the fetch pin and the prefetch pipeline.

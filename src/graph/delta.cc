@@ -152,19 +152,6 @@ Status Delta::ApplyTo(Snapshot* g, bool forward, unsigned components) const {
   return Status::OK();
 }
 
-Delta Delta::Inverse() const {
-  Delta inv;
-  inv.add_nodes = del_nodes;
-  inv.del_nodes = add_nodes;
-  inv.add_edges = del_edges;
-  inv.del_edges = add_edges;
-  inv.add_node_attrs = del_node_attrs;
-  inv.del_node_attrs = add_node_attrs;
-  inv.add_edge_attrs = del_edge_attrs;
-  inv.del_edge_attrs = add_edge_attrs;
-  return inv;
-}
-
 bool Delta::IsEmpty() const {
   return add_nodes.empty() && del_nodes.empty() && add_edges.empty() &&
          del_edges.empty() && add_node_attrs.empty() && del_node_attrs.empty() &&

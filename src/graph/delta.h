@@ -62,9 +62,6 @@ class Delta {
   /// undoes it exactly. Only the selected components are touched.
   Status ApplyTo(Snapshot* g, bool forward, unsigned components = kCompAll) const;
 
-  /// Returns the inverse delta (adds and deletes swapped).
-  Delta Inverse() const;
-
   bool IsEmpty() const;
 
   /// Number of elements in the given components (the "size of the delta" the

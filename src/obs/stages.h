@@ -14,10 +14,10 @@ namespace obs {
 ///
 ///  - `server.stage_plan_us`    — planner runs (Steiner tree / cached SSSP),
 ///  - `server.stage_fetch_us`   — individual blocking payload fetches on a
-///                                query thread (demand path, both through the
-///                                fetch cache and the visitor's direct reads),
-///  - `server.stage_execute_us` — plan executions (serial, serial+prefetch,
-///                                or a parallel executor's Start→collect),
+///                                query thread (the fetch cache's demand
+///                                path),
+///  - `server.stage_execute_us` — plan executions (the executor's
+///                                Start→collect),
 ///  - `server.stage_merge_us`   — result assembly (TakeInOrder ordering and
 ///                                the cross-shard AbsorbDisjoint stitch).
 ///

@@ -467,8 +467,8 @@ Result<HistGraphServer::QueryResult> HistGraphServer::Retrieve(
   QueriesServed().Add();
   QueryLatency().Record(static_cast<uint64_t>(latency_us));
   // Feed the sampler (tail arming) and the slow-query log with the
-  // end-to-end server latency — queueing and admission included, which the
-  // per-index deltagraph.query_us observation below it cannot see.
+  // end-to-end server latency, queueing and admission included. This is the
+  // query's only sampler observation: GetSnapshotsAt never observes.
   obs::TraceSampler::Global().Observe(static_cast<uint64_t>(latency_us));
   const bool slow =
       options_.slow_query_us > 0 && latency_us >= options_.slow_query_us;

@@ -1,7 +1,7 @@
-// Tests for the parallel plan-execution subsystem (src/exec/): TaskPool
-// semantics, executor determinism against the serial visitor across seeds and
-// thread counts, batched RetrievalSessions, and concurrent-retrieval stress
-// (the latter two double as the ThreadSanitizer workload in CI).
+// Tests for the plan-execution subsystem (src/exec/): TaskPool semantics,
+// executor determinism against naive replay across seeds and thread counts
+// (parallelism 1 included), batched RetrievalSessions, and concurrent-retrieval
+// stress (the latter two double as the ThreadSanitizer workload in CI).
 
 #include <gtest/gtest.h>
 
@@ -82,7 +82,7 @@ TEST(TaskPoolTest, WaitIsReusable) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor determinism: parallel == serial, element for element
+// Executor determinism: every pool size == replay, element for element
 // ---------------------------------------------------------------------------
 
 struct BuiltIndex {
@@ -122,74 +122,101 @@ BuiltIndex BuildRandomIndex(uint64_t seed, size_t num_events,
   return built;
 }
 
-TEST(ParallelExecutorTest, MatchesSerialAcrossSeedsAndThreadCounts) {
-  TaskPool pool2(2), pool8(8);
+size_t CountSteps(const PlanNode& node, PlanStep::Kind kind) {
+  size_t n = 0;
+  for (const auto& [step, child] : node.children) {
+    n += (step.kind == kind ? 1 : 0) + CountSteps(*child, kind);
+  }
+  return n;
+}
+
+// Expects `got` to equal naive replay of `events` at each of `times`.
+void ExpectMatchesReplay(const std::vector<Snapshot>& got,
+                         const std::vector<Event>& events,
+                         const std::vector<Timestamp>& times, unsigned components,
+                         const std::string& context) {
+  ASSERT_EQ(got.size(), times.size()) << context;
+  for (size_t i = 0; i < times.size(); ++i) {
+    const Snapshot expected = ReplayAt(events, times[i], components);
+    EXPECT_TRUE(got[i].Equals(expected))
+        << context << " t=" << times[i] << "\n" << got[i].DiffString(expected);
+  }
+}
+
+TEST(ParallelExecutorTest, MatchesReplayAcrossSeedsAndThreadCounts) {
+  TaskPool pool1(1), pool2(2), pool8(8);
   for (uint64_t seed : {11u, 1234u, 990017u}) {
     BuiltIndex built = BuildRandomIndex(seed, 3000, /*post_finalize_events=*/150);
     test::SeededRng rng(seed * 31 + 7);
     for (unsigned components : {unsigned{kCompAll}, unsigned{kCompStruct}}) {
       for (int k : {2, 5, 9}) {
         const std::vector<Timestamp> times = test::RandomTimes(rng, built.events, k);
-
-        built.dg->SetTaskPool(nullptr);  // Serial baseline.
-        auto serial = built.dg->GetSnapshots(times, components);
-        ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-        for (TaskPool* pool : {&pool2, &pool8}) {
+        // nullptr = forced serial (TaskPool::Serial()); pool1 is a private
+        // parallelism-1 pool, where every spawn runs inline.
+        for (TaskPool* pool :
+             {static_cast<TaskPool*>(nullptr), &pool1, &pool2, &pool8}) {
           built.dg->SetTaskPool(pool);
-          auto parallel = built.dg->GetSnapshots(times, components);
-          ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-          ASSERT_EQ(parallel.value().size(), serial.value().size());
-          for (size_t i = 0; i < times.size(); ++i) {
-            EXPECT_TRUE(parallel.value()[i].Equals(serial.value()[i]))
-                << "seed=" << seed << " threads=" << pool->parallelism()
-                << " components=" << components << " t=" << times[i] << "\n"
-                << parallel.value()[i].DiffString(serial.value()[i]);
-          }
+          auto got = built.dg->GetSnapshots(times, components);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ExpectMatchesReplay(got.value(), built.events, times, components,
+                              "seed=" + std::to_string(seed) + " threads=" +
+                                  std::to_string(pool ? pool->parallelism() : 0) +
+                                  " components=" + std::to_string(components));
         }
-        // A parallelism-1 pool must take the serial path (and agree).
-        TaskPool pool1(1);
-        built.dg->SetTaskPool(&pool1);
-        auto one = built.dg->GetSnapshots(times, components);
-        ASSERT_TRUE(one.ok());
-        for (size_t i = 0; i < times.size(); ++i) {
-          EXPECT_TRUE(one.value()[i].Equals(serial.value()[i]));
-        }
-        built.dg->SetTaskPool(nullptr);
       }
     }
-    // Ground truth once per seed: the parallel result equals exact replay.
-    TaskPool pool4(4);
-    built.dg->SetTaskPool(&pool4);
-    const std::vector<Timestamp> times = test::RandomTimes(rng, built.events, 6);
-    auto snaps = built.dg->GetSnapshots(times, kCompAll);
-    ASSERT_TRUE(snaps.ok());
-    for (size_t i = 0; i < times.size(); ++i) {
-      Snapshot expected = ReplayAt(built.events, times[i]);
-      EXPECT_TRUE(snaps.value()[i].Equals(expected))
-          << "t=" << times[i] << "\n" << snaps.value()[i].DiffString(expected);
-    }
+    built.dg->SetTaskPool(nullptr);
   }
 }
 
-TEST(ParallelExecutorTest, MaterializedStartsMatchSerial) {
+TEST(ParallelExecutorTest, MaterializedStartsMatchReplay) {
   BuiltIndex built = BuildRandomIndex(77, 2500);
   ASSERT_TRUE(built.dg->MaterializeDepth(1).ok());
   test::SeededRng rng(99);
   const std::vector<Timestamp> times = test::RandomTimes(rng, built.events, 7);
 
-  built.dg->SetTaskPool(nullptr);
-  auto serial = built.dg->GetSnapshots(times, kCompAll);
-  ASSERT_TRUE(serial.ok());
-
   TaskPool pool4(4);
-  built.dg->SetTaskPool(&pool4);
-  auto parallel = built.dg->GetSnapshots(times, kCompAll);
-  ASSERT_TRUE(parallel.ok());
-  for (size_t i = 0; i < times.size(); ++i) {
-    EXPECT_TRUE(parallel.value()[i].Equals(serial.value()[i]))
-        << parallel.value()[i].DiffString(serial.value()[i]);
+  for (TaskPool* pool : {static_cast<TaskPool*>(nullptr), &pool4}) {
+    built.dg->SetTaskPool(pool);
+    auto got = built.dg->GetSnapshots(times, kCompAll);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectMatchesReplay(got.value(), built.events, times, kCompAll,
+                        pool ? "pool4" : "serial");
   }
+}
+
+// Branchy plans on a parallelism-1 pool: the fork walk runs every sibling
+// subtree inline, one after another, on the caller's thread. Covers the
+// materialization plan itself (MaterializeDepth on a forced-serial index
+// runs a branchy PlanNodes plan) and multipoint plans that start from the
+// materialized nodes, the current graph and the recent tail.
+TEST(ParallelExecutorTest, BranchyPlansOnSerialPoolMatchReplay) {
+  BuiltIndex built = BuildRandomIndex(4711, 2600, /*post_finalize_events=*/90);
+  built.dg->SetTaskPool(nullptr);  // Forced serial: TaskPool::Serial().
+  auto mat = built.dg->MaterializeDepth(2);
+  ASSERT_TRUE(mat.ok()) << mat.status().ToString();
+  ASSERT_GE(mat.value(), 2u);
+  test::SeededRng rng(8);
+  TaskPool pool1(1);
+  size_t materialized_starts = 0;
+  for (TaskPool* pool : {static_cast<TaskPool*>(nullptr), &pool1}) {
+    built.dg->SetTaskPool(pool);
+    for (int k : {3, 6, 10}) {
+      std::vector<Timestamp> times = test::RandomTimes(rng, built.events, k);
+      times.push_back(built.events.back().time);  // Served by the current graph.
+      auto plan = built.dg->PlanFor(times);
+      ASSERT_TRUE(plan.ok());
+      ASSERT_TRUE(PlanHasBranches(plan.value())) << "k=" << k;
+      materialized_starts += CountSteps(*plan.value().root,
+                                        PlanStep::Kind::kLoadMaterialized);
+      auto got = built.dg->GetSnapshots(times, kCompAll);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectMatchesReplay(got.value(), built.events, times, kCompAll,
+                          "k=" + std::to_string(k));
+    }
+  }
+  EXPECT_GT(materialized_starts, 0u) << "no plan started from a materialized node";
+  built.dg->SetTaskPool(nullptr);
 }
 
 TEST(ParallelExecutorTest, PlanHasBranchesDetectsLinearChains) {

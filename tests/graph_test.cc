@@ -165,17 +165,6 @@ TEST(DeltaTest, BetweenAndApply) {
   EXPECT_TRUE(g.Equals(source)) << g.DiffString(source);
 }
 
-TEST(DeltaTest, InverseSwapsSides) {
-  Snapshot a, b;
-  a.AddNode(1);
-  b.AddNode(2);
-  Delta d = Delta::Between(b, a);
-  Delta inv = d.Inverse();
-  Snapshot g = b;
-  ASSERT_TRUE(inv.ApplyTo(&g, true).ok());
-  EXPECT_TRUE(g.Equals(a));
-}
-
 TEST(DeltaTest, EmptyDelta) {
   Snapshot a;
   a.AddNode(1);

@@ -1,8 +1,8 @@
 // Randomized replay-oracle harness: ~50 seeded random workloads (interleaved
 // appends and finalizes, equal-time runs, attribute churn, deletes, random
 // leaf sizes / arities / differential functions, optional materialized
-// starts) are indexed into a DeltaGraph, and every retrieval path — serial
-// visitor, parallel executor at 2 and 8 threads, each with prefetching on and
+// starts) are indexed into a DeltaGraph, and every retrieval path — the plan
+// executor forced serial and at 2 and 8 threads, each with prefetching on and
 // off, across component subsets — is checked element-for-element against a
 // NaiveReplayOracle that rebuilds each requested snapshot by replaying the
 // full event log into plain std containers (tests/test_oracle.h). This is

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "deltagraph/delta_graph.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -409,6 +410,56 @@ TEST(ServerObsTest, SlowQueryLogCarriesMatchingEpochAndSpanTree) {
     if (e.seq == seq) still_there = true;
   }
   EXPECT_TRUE(still_there);
+}
+
+TEST(ServerObsTest, EachQueryFeedsTheSamplerOnce) {
+  // Tail arming must see each query's latency exactly once — the server's
+  // end-to-end observation — even with metrics on, where the index also
+  // times the query into deltagraph.query_us.
+  const bool metrics_before = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+
+  RandomTraceOptions topts;
+  topts.num_events = 1500;
+  topts.seed = 515;
+  const GeneratedTrace trace = GenerateRandomTrace(topts);
+
+  auto store = NewMemKVStore();
+  HistGraphServerOptions opts;
+  opts.manager.index.leaf_size = 100;
+  opts.slow_query_us = 1;  // Every real query crosses the threshold.
+  auto server = HistGraphServer::Create(store.get(), opts);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Append(trace.events).ok());
+  ASSERT_TRUE((*server)->Finalize().ok());
+  ASSERT_TRUE((*server)->Flush().ok());
+
+  obs::TraceSampler& sampler = obs::TraceSampler::Global();
+  const uint64_t observed_before = sampler.slow_observed();
+  const uint64_t slow_before = (*server)->stats().slow_queries;
+  const Timestamp hi = trace.events.back().time;
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE((*server)->Retrieve({hi / (i + 2), hi / (i + 3)}).ok());
+  }
+  const uint64_t slow_delta = (*server)->stats().slow_queries - slow_before;
+  EXPECT_EQ(slow_delta, 10u);
+  EXPECT_EQ(sampler.slow_observed() - observed_before, slow_delta);
+
+  // A standalone index query is observed once as well, by GetSnapshots.
+  auto dg_store = NewMemKVStore();
+  DeltaGraphOptions dg_opts;
+  dg_opts.leaf_size = 100;
+  auto dg = DeltaGraph::Create(dg_store.get(), dg_opts);
+  ASSERT_TRUE(dg.ok());
+  ASSERT_TRUE((*dg)->AppendAll(trace.events).ok());
+  ASSERT_TRUE((*dg)->Finalize().ok());
+  const uint64_t standalone_before = sampler.slow_observed();
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE((*dg)->GetSnapshots({hi / (i + 2)}).ok());
+  }
+  EXPECT_EQ(sampler.slow_observed() - standalone_before, 5u);
+
+  obs::SetMetricsEnabled(metrics_before);
 }
 
 TEST(ServerObsTest, WatchdogFlagsStalledIngestOp) {
