@@ -1,5 +1,7 @@
 #include "auxiliary/aux_index_base.h"
 
+#include <algorithm>
+
 namespace hgdb {
 
 Status AuxIndexBase::BuildOnEvent(const Event& e, const Snapshot& graph_after) {
@@ -15,16 +17,23 @@ Status AuxIndexBase::BuildOnEvent(const Event& e, const Snapshot& graph_after) {
   return Status::OK();
 }
 
-Status AuxIndexBase::BuildOnLeaf(int32_t leaf_id, int32_t prev_leaf_id,
+Status AuxIndexBase::BuildOnLeaf(int32_t leaf_id, Timestamp boundary_time,
                                  int32_t eventlist_edge_id) {
-  (void)prev_leaf_id;
-  pending_[leaf_id] = current_;
+  // Aux events past the boundary come from a held-back equal-time run: they
+  // stay recent, and the leaf's snapshot is the running one without them.
+  const auto held = std::find_if(recent_.begin(), recent_.end(), [&](const AuxEvent& e) {
+    return e.time > boundary_time;
+  });
+  AuxSnapshot leaf = current_;
+  HG_RETURN_NOT_OK(
+      ApplyAuxEvents(recent_, /*forward=*/false, boundary_time, kMaxTimestamp, &leaf));
+  pending_[leaf_id] = std::move(leaf);
   if (eventlist_edge_id >= 0) {
     std::string blob;
-    EncodeAuxEvents(recent_, &blob);
+    EncodeAuxEvents(std::vector<AuxEvent>(recent_.begin(), held), &blob);
     HG_RETURN_NOT_OK(store_->Put(EdgeKey(eventlist_edge_id), blob));
   }
-  recent_.clear();
+  recent_.erase(recent_.begin(), held);
   return Status::OK();
 }
 
@@ -43,12 +52,11 @@ Status AuxIndexBase::BuildOnParent(int32_t parent_id,
   }
   AuxSnapshot parent = AuxDF(child_snaps);
   for (size_t i = 0; i < children.size(); ++i) {
-    AuxDelta d = AuxDelta::Between(pending_[children[i]], parent);
+    AuxDelta d = AuxDelta::Between(*child_snaps[i], parent);
     std::string blob;
     d.EncodeTo(&blob);
     HG_RETURN_NOT_OK(store_->Put(EdgeKey(delta_edge_ids[i]), blob));
   }
-  for (int32_t c : children) pending_.erase(c);
   pending_[parent_id] = std::move(parent);
   return Status::OK();
 }
@@ -63,9 +71,13 @@ Status AuxIndexBase::BuildOnSuperRootEdge(int32_t edge_id, int32_t node_id) {
   AuxDelta d = AuxDelta::Between(it->second, kEmpty);
   std::string blob;
   d.EncodeTo(&blob);
-  HG_RETURN_NOT_OK(store_->Put(EdgeKey(edge_id), blob));
-  pending_.erase(it);
-  return Status::OK();
+  return store_->Put(EdgeKey(edge_id), blob);
+}
+
+void AuxIndexBase::RetainPending(const std::vector<int32_t>& pending) {
+  std::erase_if(pending_, [&](const auto& entry) {
+    return std::find(pending.begin(), pending.end(), entry.first) == pending.end();
+  });
 }
 
 Status AuxIndexBase::ApplyDeltaEdge(AuxState* state, int32_t edge_id,

@@ -51,11 +51,12 @@ class AuxIndexBase : public AuxIndexHook {
 
   // -- Build-time callbacks (wired by the DeltaGraph) ----------------------------
   Status BuildOnEvent(const Event& e, const Snapshot& graph_after) override;
-  Status BuildOnLeaf(int32_t leaf_id, int32_t prev_leaf_id,
+  Status BuildOnLeaf(int32_t leaf_id, Timestamp boundary_time,
                      int32_t eventlist_edge_id) override;
   Status BuildOnParent(int32_t parent_id, const std::vector<int32_t>& children,
                        const std::vector<int32_t>& delta_edge_ids) override;
   Status BuildOnSuperRootEdge(int32_t edge_id, int32_t node_id) override;
+  void RetainPending(const std::vector<int32_t>& pending) override;
 
   // -- Query-time callbacks -------------------------------------------------------
   std::unique_ptr<AuxState> NewState() const override {
@@ -79,7 +80,9 @@ class AuxIndexBase : public AuxIndexHook {
   KVStore* store_;
   AuxSnapshot current_;
   std::vector<AuxEvent> recent_;  ///< Aux events since the last leaf cut.
-  std::map<int32_t, AuxSnapshot> pending_;  ///< Un-parented skeleton nodes.
+  /// Aux snapshots of the skeleton nodes awaiting a parent (kept in step
+  /// with the DeltaGraph's pending set by RetainPending).
+  std::map<int32_t, AuxSnapshot> pending_;
 };
 
 }  // namespace hgdb

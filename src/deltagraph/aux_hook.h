@@ -52,16 +52,20 @@ class AuxIndexHook {
   /// auxiliary event (CreateAuxEvent) and updates its running aux snapshot.
   virtual Status BuildOnEvent(const Event& e, const Snapshot& graph_after) = 0;
 
-  /// Called when a leaf is cut: the hook must snapshot its running auxiliary
-  /// state as the leaf's aux snapshot and persist the auxiliary eventlist for
-  /// `eventlist_edge_id` (the edge from `prev_leaf_id` to `leaf_id`; -1 for
-  /// the first leaf).
-  virtual Status BuildOnLeaf(int32_t leaf_id, int32_t prev_leaf_id,
+  /// Called when a leaf is cut at `boundary_time`: the hook must snapshot its
+  /// auxiliary state as of that time as the leaf's aux snapshot and persist
+  /// the auxiliary eventlist up to it for `eventlist_edge_id` (the edge from
+  /// the previous leaf to `leaf_id`; -1 for the first leaf). Events already
+  /// passed to BuildOnEvent may be newer than the boundary: Finalize holds
+  /// back a trailing equal-time run, which stays recent.
+  virtual Status BuildOnLeaf(int32_t leaf_id, Timestamp boundary_time,
                              int32_t eventlist_edge_id) = 0;
 
   /// Called when an interior node is formed from `children`. The hook applies
   /// its differential function (AuxDF) over the children's aux snapshots and
   /// persists one aux delta per `delta_edge_ids[i]` (parent -> children[i]).
+  /// The children may gain further parents later, so their aux snapshots
+  /// stay until RetainPending drops them.
   virtual Status BuildOnParent(int32_t parent_id,
                                const std::vector<int32_t>& children,
                                const std::vector<int32_t>& delta_edge_ids) = 0;
@@ -69,6 +73,13 @@ class AuxIndexHook {
   /// Called when `node_id` is attached to the super-root by `edge_id`; the
   /// hook persists the full aux snapshot of that node as the edge's delta.
   virtual Status BuildOnSuperRootEdge(int32_t edge_id, int32_t node_id) = 0;
+
+  /// Called after merges change the set of nodes awaiting a parent:
+  /// `pending` lists every such node. The hook may drop the build state of
+  /// every other node. A Finalize cap builds parents over pending nodes that
+  /// stay pending, so a node's state must outlive BuildOnParent and
+  /// BuildOnSuperRootEdge calls that consume it.
+  virtual void RetainPending(const std::vector<int32_t>& pending) = 0;
 
   // -- Query-time callbacks ---------------------------------------------------
   /// Fresh (empty, super-root) auxiliary state.

@@ -128,6 +128,7 @@ Result<std::unique_ptr<DeltaGraph>> DeltaGraph::Open(KVStore* store) {
   }
   dg->store_.SetNextId(next_id);
   dg->event_count_ = static_cast<size_t>(event_count);
+  dg->cap_event_count_ = dg->event_count_;  // Open starts a new hierarchy.
   dg->min_time_ = min_time;
   dg->max_time_ = max_time;
   dg->has_initial_leaf_ = !dg->skeleton_.leaves().empty();
@@ -291,7 +292,7 @@ Status DeltaGraph::SetInitialSnapshot(const Snapshot& g0, Timestamp t0) {
   has_initial_leaf_ = true;
   for (auto* hook : aux_hooks_) {
     HG_RETURN_NOT_OK(hook->BuildOnInitialSnapshot(g0));
-    HG_RETURN_NOT_OK(hook->BuildOnLeaf(leaf_id, -1, -1));
+    HG_RETURN_NOT_OK(hook->BuildOnLeaf(leaf_id, t0, -1));
   }
   PublishFrontier();
   return Status::OK();
@@ -337,7 +338,7 @@ Status DeltaGraph::AppendOne(const Event& e) {
       pending_[h][0].push_back(Pending{leaf_id, graph});
     }
     for (auto* hook : aux_hooks_) {
-      HG_RETURN_NOT_OK(hook->BuildOnLeaf(leaf_id, -1, -1));
+      HG_RETURN_NOT_OK(hook->BuildOnLeaf(leaf_id, leaf.boundary_time, -1));
     }
     has_initial_leaf_ = true;
   }
@@ -414,7 +415,7 @@ Status DeltaGraph::CutLeaf(size_t prefix) {
     pending_[h][0].push_back(Pending{leaf_id, graph});
   }
   for (auto* hook : aux_hooks_) {
-    HG_RETURN_NOT_OK(hook->BuildOnLeaf(leaf_id, prev_leaf, edge_id));
+    HG_RETURN_NOT_OK(hook->BuildOnLeaf(leaf_id, leaf.boundary_time, edge_id));
   }
   if (full) {
     recent_.Clear();
@@ -422,7 +423,9 @@ Status DeltaGraph::CutLeaf(size_t prefix) {
     recent_ = EventList(std::vector<Event>(ev.begin() + prefix, ev.end()));
   }
   ResetRecentTail();
-  return CascadeMerges(/*force_partial=*/false);
+  HG_RETURN_NOT_OK(CascadeMerges(/*force_partial=*/false));
+  SyncAuxPending();
+  return Status::OK();
 }
 
 Status DeltaGraph::BuildParent(size_t hierarchy, size_t level_index) {
@@ -495,7 +498,7 @@ Status DeltaGraph::CascadeMerges(bool force_partial) {
   return Status::OK();
 }
 
-Status DeltaGraph::AttachSuperRoot(size_t hierarchy, const Pending& pending_root) {
+Status DeltaGraph::AttachSuperRoot(const Pending& pending_root) {
   // Skip if this node is already attached.
   for (int32_t eid : skeleton_.incident_edges(skeleton_.super_root())) {
     const SkeletonEdge& e = skeleton_.edge(eid);
@@ -512,8 +515,39 @@ Status DeltaGraph::AttachSuperRoot(size_t hierarchy, const Pending& pending_root
   for (auto* hook : aux_hooks_) {
     HG_RETURN_NOT_OK(hook->BuildOnSuperRootEdge(eid, pending_root.node_id));
   }
-  (void)hierarchy;
   return Status::OK();
+}
+
+Status DeltaGraph::BuildCap() {
+  // The cap's parents are built over the pending nodes but never become
+  // pending themselves: restoring pending_ lets the next real merges take
+  // the same nodes, which stay reachable from the super-root through the
+  // cap. On failure pending_ is restored all the same.
+  auto saved = pending_;
+  const Status s = [&]() -> Status {
+    HG_RETURN_NOT_OK(CascadeMerges(/*force_partial=*/true));
+    for (const auto& hierarchy : pending_) {
+      for (const auto& level : hierarchy) {
+        for (const auto& p : level) HG_RETURN_NOT_OK(AttachSuperRoot(p));
+      }
+    }
+    return Status::OK();
+  }();
+  pending_ = std::move(saved);
+  SyncAuxPending();
+  if (s.ok()) cap_event_count_ = event_count_;
+  return s;
+}
+
+void DeltaGraph::SyncAuxPending() {
+  if (aux_hooks_.empty()) return;
+  std::vector<int32_t> ids;
+  for (const auto& hierarchy : pending_) {
+    for (const auto& level : hierarchy) {
+      for (const auto& p : level) ids.push_back(p.node_id);
+    }
+  }
+  for (auto* hook : aux_hooks_) hook->RetainPending(ids);
 }
 
 Status DeltaGraph::Finalize() {
@@ -529,14 +563,14 @@ Status DeltaGraph::Finalize() {
     while (prefix > 0 && ev[prefix - 1].time == recent_.EndTime()) --prefix;
     HG_RETURN_NOT_OK(CutLeaf(prefix));
   }
-  HG_RETURN_NOT_OK(CascadeMerges(/*force_partial=*/true));
-  for (size_t h = 0; h < pending_.size(); ++h) {
-    for (auto& level : pending_[h]) {
-      for (auto& p : level) {
-        HG_RETURN_NOT_OK(AttachSuperRoot(h, p));
-      }
-    }
-    pending_[h].clear();
+  // Cap when the super-root has no edge yet, or when the events since the
+  // last cap reach |G|: a cap stores about |G| elements and the eventlists
+  // it lets a plan skip about one per event, so caps cost O(1) per event
+  // (src/deltagraph/README.md, "When Finalize caps").
+  const size_t since_cap = event_count_ - cap_event_count_;
+  if (skeleton_.incident_edges(skeleton_.super_root()).empty() ||
+      (since_cap > 0 && since_cap >= current_elements_)) {
+    HG_RETURN_NOT_OK(BuildCap());
   }
   Status s = PersistMeta();
   PublishFrontier();

@@ -84,7 +84,7 @@ Status ApplyEventRange(std::span<const Event> events, Snapshot* g, bool forward,
 /// Usage:
 ///   auto dg = DeltaGraph::Create(store, options).value();
 ///   dg->AppendAll(events);      // chronological
-///   dg->Finalize();             // attach roots, persist skeleton
+///   dg->Finalize();             // cut the last leaf, cap, persist skeleton
 ///   Snapshot g = dg->GetSnapshot(t, kCompStruct | kCompNodeAttr).value();
 ///
 /// The index remains updatable after Finalize: further Append calls extend
@@ -115,10 +115,14 @@ class DeltaGraph {
   Status Append(const Event& e);
   Status AppendAll(const std::vector<Event>& events);
 
-  /// Flushes the trailing partial eventlist as a final (short) leaf, builds
-  /// parents for all pending nodes up to the root(s), attaches root(s) to the
-  /// super-root, and persists the skeleton. Idempotent; callable again after
-  /// further appends.
+  /// Flushes the trailing partial eventlist as a final (short) leaf, persists
+  /// the skeleton, and publishes. When a cap is due (the super-root has no
+  /// edge yet, or the events since the last cap reach |G|), it first caps
+  /// the hierarchy: parents over the pending nodes up to one root per
+  /// hierarchy, attached to the super-root. The pending nodes stay pending,
+  /// so one hierarchy keeps growing across calls (see "When Finalize caps"
+  /// in src/deltagraph/README.md). Idempotent; callable again after further
+  /// appends.
   Status Finalize();
 
   // -- Snapshot retrieval -----------------------------------------------------
@@ -328,7 +332,13 @@ class DeltaGraph {
   Status CutLeaf(size_t prefix);
   Status BuildParent(size_t hierarchy, size_t level_index);
   Status CascadeMerges(bool force_partial);
-  Status AttachSuperRoot(size_t hierarchy, const Pending& pending_root);
+  /// Finalize's cap: merges a copy of pending_ up to one root per hierarchy
+  /// and attaches the roots to the super-root, then restores pending_.
+  Status BuildCap();
+  Status AttachSuperRoot(const Pending& pending_root);
+  /// Tells the aux hooks which nodes still await a parent, so they keep the
+  /// build state of exactly those nodes.
+  void SyncAuxPending();
   PlannerContext MakePlannerContext() const;
   PlannerContext MakePlannerContext(const FrontierState& frontier) const;
   Status PersistMeta();
@@ -357,12 +367,14 @@ class DeltaGraph {
   Timestamp min_time_ = kMaxTimestamp;
   Timestamp max_time_ = kMinTimestamp;
   size_t event_count_ = 0;
+  size_t cap_event_count_ = 0;  ///< event_count_ at the last cap (or Open).
   size_t insert_events_ = 0;   ///< kAddNode/kAddEdge appended so far.
   size_t delete_events_ = 0;   ///< kDeleteNode/kDeleteEdge appended so far.
   double initial_elements_ = 0;  ///< |G0| at SetInitialSnapshot.
   bool has_initial_leaf_ = false;
 
   /// pending_[h][l] = nodes at level l+1 awaiting a parent in hierarchy h.
+  /// Kept across Finalize: a cap builds its parents over a copy.
   std::vector<std::vector<std::vector<Pending>>> pending_;
 
   std::map<int32_t, std::shared_ptr<Snapshot>> materialized_;

@@ -466,14 +466,6 @@ void DeltaStore::GetBatch(std::vector<BatchedRead>* batch) const {
   for (FetchedRead& f : fetched) DecodeFetched(&(*batch)[f.entry], &f);
 }
 
-Status DeltaStore::DeleteDelta(DeltaId id) {
-  CacheInvalidate(id);
-  for (int c = 0; c < kNumComponents; ++c) {
-    HG_RETURN_NOT_OK(store_->Delete(Key(id, c)));
-  }
-  return Status::OK();
-}
-
 Status DeltaStore::PutSkeleton(const Skeleton& skeleton) {
   std::string blob;
   skeleton.EncodeTo(&blob);

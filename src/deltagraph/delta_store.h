@@ -189,10 +189,6 @@ class DeltaStore {
   size_t batched_multigets() const { return batched_multigets_.load(std::memory_order_relaxed); }
   size_t batched_reads() const { return batched_reads_.load(std::memory_order_relaxed); }
 
-  /// Deletes all components of a delta (used when index evolution replaces
-  /// super-root attachments).
-  Status DeleteDelta(DeltaId id);
-
   /// Skeleton + metadata persistence.
   Status PutSkeleton(const Skeleton& skeleton);
   Status GetSkeleton(Skeleton* skeleton) const;

@@ -167,6 +167,33 @@ TEST_F(PathIndexTest, HistoricalAuxSnapshotsMatchBruteForce) {
   }
 }
 
+// Appends after a Finalize merge the capped nodes again, so the hook must
+// keep their aux snapshots. The first Finalize caps 9 leaves (a partial
+// parent over the root and the lone newest leaf), the second caps the grown
+// hierarchy, and the third adds uncapped leaves. Every leaf boundary's aux
+// state must equal the brute-force enumeration.
+TEST_F(PathIndexTest, AppendsAfterFinalizeKeepAuxStatesExact) {
+  Build(450, 17, /*leaf_size=*/60);
+  GeneratedTrace full = LabeledTrace(2000, 17, 4);  // Extends trace_.events.
+  for (size_t end : {size_t{1200}, full.events.size()}) {
+    const size_t begin = dg_->event_count();
+    ASSERT_TRUE(dg_->AppendAll({full.events.begin() + begin, full.events.begin() + end}).ok());
+    ASSERT_TRUE(dg_->Finalize().ok());
+  }
+  const auto& skel = dg_->skeleton();
+  EXPECT_EQ(skel.incident_edges(skel.super_root()).size(), 2u);
+
+  for (int32_t leaf : skel.leaves()) {
+    const Timestamp t = skel.node(leaf).boundary_time;
+    auto state = dg_->GetAuxState(*index_, t);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    const auto& aux = static_cast<const AuxSnapshotState&>(*state.value()).snapshot;
+    AuxSnapshot expected = EnumerateAllLabelPaths(ReplayAt(full.events, t), "label");
+    EXPECT_TRUE(aux.Equals(expected))
+        << "t=" << t << " aux=" << aux.PairCount() << " expected=" << expected.PairCount();
+  }
+}
+
 TEST_F(PathIndexTest, PatternMatchesOverHistoryAgreeWithBruteForce) {
   Build(900, 21);
   // Pattern: a path a-b-a-c (labels), pure path pattern.

@@ -434,7 +434,8 @@ TEST_F(DeltaGraphTest, UpdatesAfterFinalizeRemainQueryable) {
     EXPECT_TRUE(snap.value().Equals(expected))
         << "t=" << probe << "\n" << snap.value().DiffString(expected);
   }
-  // A second finalize attaches the new subtrees and persists; still correct.
+  // A second finalize cuts the trailing leaf and persists (1500 events are
+  // fewer than |G|, so it adds no cap); still correct.
   ASSERT_TRUE(dg_->Finalize().ok());
   auto snap = dg_->GetSnapshot(t_max);
   ASSERT_TRUE(snap.ok());
@@ -600,6 +601,37 @@ TEST_F(DeltaGraphTest, OddArityFinalizationCascades) {
       EXPECT_TRUE(snap.value().Equals(ReplayAt(trace.events, probe)));
     }
   }
+}
+
+// Live ingest: a Finalize every 2048 events grows one hierarchy and caps it
+// only when the events since the last cap reach |G|, so it stores within 10%
+// of one Finalize at the end.
+TEST(IncrementalFinalizeTest, FrequentFinalizesStoreAboutAsMuchAsOne) {
+  RandomTraceOptions topts;
+  topts.num_events = 24000;
+  topts.seed = 1;
+  const std::vector<Event> events = GenerateRandomTrace(topts).events;
+  auto store_bytes = [&](size_t finalize_every, size_t* caps) {
+    auto store = NewMemKVStore();
+    auto dg = DeltaGraph::Create(store.get(), DeltaGraphOptions{}).value();
+    for (size_t i = 0; i < events.size(); i += 64) {
+      const size_t end = std::min(events.size(), i + 64);
+      EXPECT_TRUE(dg->AppendAll({events.begin() + i, events.begin() + end}).ok());
+      if (finalize_every > 0 && end / finalize_every != i / finalize_every) {
+        EXPECT_TRUE(dg->Finalize().ok());
+      }
+    }
+    EXPECT_TRUE(dg->Finalize().ok());
+    const Skeleton& skel = dg->skeleton();
+    *caps = skel.incident_edges(skel.super_root()).size();
+    return store->ValueBytes();
+  };
+  size_t caps_once = 0, caps_live = 0;
+  const uint64_t once = store_bytes(0, &caps_once);
+  const uint64_t live = store_bytes(2048, &caps_live);
+  EXPECT_EQ(caps_once, 1u);
+  EXPECT_GE(caps_live, 2u);  // The cap rule fired after the first Finalize.
+  EXPECT_LE(live, once * 11 / 10) << "once=" << once << " live=" << live;
 }
 
 // Decoded-cache keys must be unique across the (id, components, is_delta)

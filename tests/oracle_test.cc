@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -379,6 +380,201 @@ TEST(ReplayOracleTest, SinglepointFromInitialSnapshotWithEmptyTail) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   const auto oracle = test::NaiveReplayOracle::At(bootstrap.events, t0, kCompAll);
   EXPECT_TRUE(oracle.Matches(got.value()));
+}
+
+// -- Incremental Finalize ----------------------------------------------------
+// One hierarchy grows across Finalize calls, which cap it only when the events
+// since the last cap reach |G| (src/deltagraph/README.md, "When Finalize
+// caps"). Leaves cut between caps are reached through the eventlist chain and
+// the current graph, so every leaf boundary and boundary+1 is probed.
+
+constexpr size_t kLiveBatch = 50;
+
+// Appends log[begin, end) in batches of kLiveBatch events, with a Finalize
+// after every `every`-th batch.
+void AppendInBatches(const std::vector<Event>& log, size_t begin, size_t end,
+                     size_t every, const std::function<Status(const std::vector<Event>&)>& append,
+                     const std::function<Status()>& finalize) {
+  size_t batches = 0;
+  for (size_t i = begin; i < end; i += kLiveBatch) {
+    const std::vector<Event> batch(log.begin() + i,
+                                   log.begin() + std::min(end, i + kLiveBatch));
+    const Status s = append(batch);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    if (++batches % every == 0) {
+      ASSERT_TRUE(finalize().ok());
+    }
+  }
+}
+
+size_t CapCount(const Skeleton& skel) {
+  return skel.incident_edges(skel.super_root()).size();
+}
+
+// Whether `node` lies under a cap: reachable from the super-root through
+// parent-to-child delta edges.
+bool IsCapped(const Skeleton& skel, int32_t node) {
+  std::vector<bool> seen(skel.node_count(), false);
+  std::vector<int32_t> stack = {skel.super_root()};
+  seen[skel.super_root()] = true;
+  while (!stack.empty()) {
+    const int32_t u = stack.back();
+    stack.pop_back();
+    if (u == node) return true;
+    for (int32_t eid : skel.incident_edges(u)) {
+      const SkeletonEdge& e = skel.edge(eid);
+      if (e.is_eventlist || e.from != u || seen[e.to]) continue;
+      seen[e.to] = true;
+      stack.push_back(e.to);
+    }
+  }
+  return false;
+}
+
+// Every leaf boundary b of `skels` and b+1, sorted and unique.
+std::vector<Timestamp> BoundaryTimes(const std::vector<const Skeleton*>& skels) {
+  std::vector<Timestamp> times;
+  for (const Skeleton* skel : skels) {
+    for (int32_t leaf : skel->leaves()) {
+      times.push_back(skel->node(leaf).boundary_time);
+      times.push_back(skel->node(leaf).boundary_time + 1);
+    }
+  }
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
+  return times;
+}
+
+// Single-point retrieval at every one of `times` (sorted), plus one
+// multipoint pass over every third, against naive replay of `log`.
+template <typename Index>
+void ExpectMatchesReplay(Index& index, const std::vector<Event>& log,
+                         const std::vector<Timestamp>& times) {
+  std::vector<test::NaiveReplayOracle> oracles;
+  test::NaiveReplayOracle running;
+  size_t next = 0;
+  for (Timestamp t : times) {
+    for (; next < log.size() && log[next].time <= t; ++next) {
+      running.Apply(log[next], kCompAll);
+    }
+    oracles.push_back(running);
+  }
+  std::vector<Timestamp> multi;
+  for (size_t i = 0; i < times.size(); ++i) {
+    auto got = index.GetSnapshot(times[i]);
+    ASSERT_TRUE(got.ok()) << got.status().ToString() << " t=" << times[i];
+    EXPECT_TRUE(oracles[i].Matches(got.value())) << "t=" << times[i];
+    if (i % 3 == 0) multi.push_back(times[i]);
+  }
+  auto got = index.GetSnapshots(multi);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  for (size_t i = 0; i < multi.size(); ++i) {
+    EXPECT_TRUE(oracles[3 * i].Matches(got.value()[i])) << "multipoint t=" << multi[i];
+  }
+}
+
+// A churny trace (many deletes keep |G| small) long enough for several caps.
+GeneratedTrace IncrementalFinalizeTrace() {
+  RandomTraceOptions topts;
+  topts.num_events = 4000;
+  topts.seed = 1811;
+  topts.p_del_edge = 0.25;
+  return GenerateRandomTrace(topts);
+}
+
+// Finalize every 1, 5 and 32 batches, with and without the current graph;
+// then two batches too short for a cap, so the newest leaves are uncapped
+// when the index is reopened; then the reopened index (a new hierarchy)
+// takes the last two batches when it maintains the current graph.
+TEST(ReplayOracleTest, LeafBoundariesMatchReplayAcrossIncrementalFinalizes) {
+  const std::vector<Event> log = IncrementalFinalizeTrace().events;
+  const size_t reopen_at = log.size() - 2 * kLiveBatch;
+  const size_t uncapped_from = reopen_at - 2 * kLiveBatch;
+  const std::vector<Event> before_reopen(log.begin(), log.begin() + reopen_at);
+
+  for (size_t every : {1, 5, 32}) {
+    for (bool maintain_current : {true, false}) {
+      SCOPED_TRACE("finalize every " + std::to_string(every) +
+                   " batches, maintain_current=" + std::to_string(maintain_current));
+      auto store = NewMemKVStore();
+      DeltaGraphOptions opts;
+      opts.leaf_size = 50;
+      opts.maintain_current = maintain_current;
+      auto created = DeltaGraph::Create(store.get(), opts);
+      ASSERT_TRUE(created.ok());
+      std::unique_ptr<DeltaGraph> dg = std::move(created).value();
+      auto append = [&](const std::vector<Event>& b) { return dg->AppendAll(b); };
+      auto finalize = [&] { return dg->Finalize(); };
+
+      AppendInBatches(log, 0, uncapped_from, every, append, finalize);
+      ASSERT_TRUE(dg->Finalize().ok());
+      if (every == 1) {
+        EXPECT_GE(CapCount(dg->skeleton()), 3u);
+      }
+      const size_t caps = CapCount(dg->skeleton());
+      AppendInBatches(log, uncapped_from, reopen_at, 2, append, finalize);
+      ASSERT_EQ(CapCount(dg->skeleton()), caps);
+      ASSERT_FALSE(IsCapped(dg->skeleton(), dg->skeleton().leaves().back()));
+      {
+        SCOPED_TRACE("live");
+        ExpectMatchesReplay(*dg, before_reopen, BoundaryTimes({&dg->skeleton()}));
+      }
+
+      dg.reset();
+      auto reopened = DeltaGraph::Open(store.get());
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      dg = std::move(reopened).value();
+      {
+        SCOPED_TRACE("reopened");
+        ExpectMatchesReplay(*dg, before_reopen, BoundaryTimes({&dg->skeleton()}));
+      }
+      // Open rebuilds the current graph that Append applies to only when it
+      // is maintained.
+      if (!maintain_current) continue;
+      AppendInBatches(log, reopen_at, log.size(), 2, append, finalize);
+      SCOPED_TRACE("appended after reopen");
+      ExpectMatchesReplay(*dg, log, BoundaryTimes({&dg->skeleton()}));
+    }
+  }
+}
+
+// The same stream through a three-shard index in one store: a Finalize every
+// 5 batches, then a reopen.
+TEST(ReplayOracleTest, PartitionedLeafBoundariesMatchReplayAcrossIncrementalFinalizes) {
+  const std::vector<Event> log = IncrementalFinalizeTrace().events;
+  auto store = NewMemKVStore();
+  DeltaGraphOptions opts;
+  opts.leaf_size = 30;
+  opts.arity = 3;
+  auto created = PartitionedDeltaGraph::Create(store.get(), 3, opts);
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<PartitionedDeltaGraph> pdg = std::move(created).value();
+  AppendInBatches(
+      log, 0, log.size(), 5,
+      [&](const std::vector<Event>& b) { return pdg->AppendAll(b); },
+      [&] { return pdg->Finalize(); });
+  ASSERT_TRUE(pdg->Finalize().ok());
+
+  auto shard_skeletons = [&] {
+    std::vector<const Skeleton*> skels;
+    for (size_t i = 0; i < pdg->partition_count(); ++i) {
+      skels.push_back(&pdg->partition(i)->skeleton());
+    }
+    return skels;
+  };
+  size_t caps = 0;
+  for (const Skeleton* skel : shard_skeletons()) caps += CapCount(*skel);
+  EXPECT_GT(caps, pdg->partition_count());
+  {
+    SCOPED_TRACE("live");
+    ExpectMatchesReplay(*pdg, log, BoundaryTimes(shard_skeletons()));
+  }
+  pdg.reset();
+  auto reopened = PartitionedDeltaGraph::Open(store.get());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  pdg = std::move(reopened).value();
+  SCOPED_TRACE("reopened");
+  ExpectMatchesReplay(*pdg, log, BoundaryTimes(shard_skeletons()));
 }
 
 }  // namespace
