@@ -129,7 +129,7 @@ class GraphManager {
 
   /// Opens a batched-retrieval session over the index: queue several
   /// GetSnapshot(s)-shaped requests, then run them concurrently on the
-  /// manager's task pool with one shared fetch pin (see RetrievalSession).
+  /// manager's task pool with one shared fetch cache (see RetrievalSession).
   /// The session must not outlive the manager, and index updates must not
   /// run while it has requests in flight.
   std::unique_ptr<RetrievalSession> NewRetrievalSession();

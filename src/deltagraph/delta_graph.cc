@@ -149,8 +149,10 @@ Result<std::unique_ptr<DeltaGraph>> DeltaGraph::Open(KVStore* store) {
   dg->ResetRecentTail();
   dg->PublishFrontier();
 
-  // Rebuild the current graph: last leaf snapshot + recent events.
-  if (dg->options_.maintain_current && !dg->skeleton_.leaves().empty()) {
+  // Rebuild the current graph: last leaf snapshot + recent events. The writer
+  // always needs it (Append applies every event to it and leaf cuts derive
+  // from it); maintain_current only decides whether readers see it.
+  if (!dg->skeleton_.leaves().empty()) {
     const Timestamp last_boundary =
         dg->skeleton_.node(dg->skeleton_.leaves().back()).boundary_time;
     // Plan without the current graph (it does not exist yet).

@@ -138,12 +138,6 @@ class DeltaGraph {
   Result<std::vector<Snapshot>> GetSnapshots(const std::vector<Timestamp>& times,
                                              unsigned components = kCompAll);
 
-  /// GetSnapshots under an externally owned trace: plan/execute spans and all
-  /// fetch attribution land under `tc`. The no-trace form above allocates its
-  /// own trace when `obs::TraceEnabled()` and dumps it per HISTGRAPH_TRACE.
-  Result<std::vector<Snapshot>> GetSnapshots(const std::vector<Timestamp>& times,
-                                             unsigned components, obs::TraceCtx tc);
-
   // -- Epoch-based visibility (see src/deltagraph/frontier.h) -----------------
   /// Pins the latest published frontier: an immutable view of the index the
   /// caller may plan and execute against while the writer keeps appending.
@@ -171,8 +165,8 @@ class DeltaGraph {
                                                obs::TraceCtx tc = {}) const;
 
   /// The plan the index executes for `times` at a pinned frontier: every
-  /// retrieval path plans here (GetSnapshotsAt, both session types, the
-  /// partitioned index), so EXPLAIN shows the plan that runs. A single time
+  /// retrieval path plans here (GetSnapshotsAt and RetrievalSession, over one
+  /// shard or many), so EXPLAIN shows the plan that runs. A single time
   /// uses the cached plan trees when options.use_plan_cache is set.
   Result<Plan> PlanForAt(const FrontierPtr& frontier,
                          const std::vector<Timestamp>& times,

@@ -6,10 +6,7 @@
 #include <utility>
 
 #include "common/coding.h"
-#include "exec/fetch_cache.h"
-#include "exec/io_pool.h"
-#include "exec/parallel_executor.h"
-#include "exec/prefetcher.h"
+#include "exec/retrieval_session.h"
 #include "exec/task_pool.h"
 
 namespace hgdb {
@@ -207,181 +204,31 @@ Status PartitionedDeltaGraph::ForEachShard(const std::function<Status(size_t)>& 
   return Status::OK();
 }
 
-Result<std::vector<std::vector<Snapshot>>> PartitionedDeltaGraph::RetrieveParts(
-    const std::vector<Timestamp>& times, unsigned components) {
-  // Standalone call with tracing on: own the trace and dump on completion.
-  // GetSnapshots wraps this with its own trace, so only one of them owns it.
-  if (obs::TraceEnabled() && !times.empty()) {
-    obs::QueryTrace trace;
-    trace.set_query_label("retrieve_parts");
-    auto out = RetrieveParts(times, components, obs::TraceCtx{&trace, obs::kNoSpan});
-    obs::FinishAndMaybeDump(&trace);
-    return out;
-  }
-  return RetrieveParts(times, components, obs::TraceCtx{});
-}
-
-Result<std::vector<std::vector<Snapshot>>> PartitionedDeltaGraph::RetrieveParts(
-    const std::vector<Timestamp>& times, unsigned components, obs::TraceCtx tc) {
-  const size_t n = partitions_.size();
-  std::vector<std::vector<Snapshot>> parts(n);
-  if (times.empty()) return parts;
-
-  obs::ScopedSpan retrieve_span(tc, "retrieve");
-  tc = retrieve_span.ctx();
-  std::vector<obs::SpanId> shard_spans(n, obs::kNoSpan);
-
-  TaskPool* pool = ResolveTaskPool();
-
-  // Pin one cross-shard frontier up front: planning, prefetch, execution,
-  // and the replay fallbacks below all resolve against this vector, so a
-  // concurrent writer cannot skew any shard mid-query.
-  const std::vector<FrontierPtr> frontiers = PinFrontiers();
-
-  // Plan every shard before touching storage. A shard with no skeleton (never
-  // finalized, or simply empty) has nothing to plan over; it takes the
-  // in-memory replay fallback below.
-  std::vector<Plan> plans(n);
-  std::vector<char> fallback(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    if (frontiers[i]->skeleton->leaves().empty()) {
-      fallback[i] = 1;
-      continue;
-    }
-    auto plan = partitions_[i]->PlanForAt(frontiers[i], times, components);
-    if (!plan.ok()) return plan.status();
-    plans[i] = std::move(plan).value();
-  }
-
-  // Issue every shard's prefetch before any shard executes. Each shard's
-  // batch lands on its own I/O lane (SetIoLane in the constructor), so all
-  // the per-shard fetch pipelines are in flight together and their storage
-  // stalls overlap instead of queueing behind one another.
-  std::vector<std::unique_ptr<ExecFetchCache>> caches(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (fallback[i]) continue;
-    caches[i] = std::make_unique<ExecFetchCache>();
-    if (pool->parallelism() >= 2) caches[i]->SetDecodePool(pool);
-    if (tc) {
-      shard_spans[i] = tc.trace->BeginSpan("shard", tc.span);
-      tc.trace->SetAttr(shard_spans[i], "shard", static_cast<int64_t>(i));
-      tc.trace->SetAttr(shard_spans[i], "steps",
-                        static_cast<int64_t>(plans[i].StepCount()));
-      tc.trace->SetAttr(shard_spans[i], "est_cost_bytes", plans[i].estimated_cost);
-      caches[i]->SetTrace(obs::TraceCtx{tc.trace, shard_spans[i]});
-    }
-    IoPool* io = partitions_[i]->ResolveIoPool();
-    if (io != nullptr) {
-      StartCollectedPrefetch(*partitions_[i], *frontiers[i]->skeleton,
-                             CollectPlanFetches(plans[i]), components,
-                             caches[i].get(), io);
-    }
-  }
-
-  Status first_error;
-  auto record = [&first_error](const Status& s) {
-    if (first_error.ok() && !s.ok()) first_error = s;
-  };
-
-  // Every shard's plan tree goes into ONE group on the pool: shard subtrees
-  // are sibling tasks, stolen freely across workers, so a shard that finishes
-  // early lends its cycles to the others (on a serial pool each Start runs
-  // its shard inline while the I/O lanes keep fetching the other shards'
-  // payloads). Executors get a null IoPool — their prefetch already ran above
-  // into the shard cache — so Start does not queue the same fetches twice.
-  std::vector<std::unique_ptr<ParallelPlanExecutor>> executors(n);
-  {
-    TaskGroup group(pool);
-    for (size_t i = 0; i < n; ++i) {
-      if (fallback[i]) continue;
-      executors[i] = std::make_unique<ParallelPlanExecutor>(
-          partitions_[i].get(), frontiers[i], components, pool, caches[i].get(),
-          /*io_pool=*/nullptr);
-      executors[i]->SetTrace(obs::TraceCtx{tc.trace, shard_spans[i]});
-      executors[i]->Start(plans[i], &group);
-    }
-    group.Wait();
-  }
-  uint64_t busy_sum_ns = 0, busy_max_ns = 0;
-  size_t busy_shards = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (executors[i] == nullptr) continue;
-    const Status s = executors[i]->TakeStatus();
-    if (tc) {
-      const uint64_t busy = executors[i]->busy_ns();
-      busy_sum_ns += busy;
-      busy_max_ns = std::max(busy_max_ns, busy);
-      ++busy_shards;
-      tc.trace->EndSpan(shard_spans[i]);
-    }
-    if (!s.ok()) {
-      record(s);
-      continue;
-    }
-    auto in_order = executors[i]->TakeResults().TakeInOrder(times);
-    record(in_order.status());
-    if (in_order.ok()) parts[i] = std::move(in_order).value();
-  }
-  if (tc && busy_shards > 0) {
-    // Execution skew: slowest shard's busy time over the per-shard mean;
-    // 1.0 = perfectly balanced.
-    tc.trace->SetAttr(tc.span, "busy_us_sum",
-                      static_cast<int64_t>(busy_sum_ns / 1000));
-    tc.trace->SetAttr(tc.span, "busy_us_max",
-                      static_cast<int64_t>(busy_max_ns / 1000));
-    if (busy_sum_ns > 0) {
-      tc.trace->SetAttr(tc.span, "shard_skew",
-                        static_cast<double>(busy_max_ns) * busy_shards /
-                            static_cast<double>(busy_sum_ns));
-    }
-  }
-
-  // Fallback shards replay their (entirely in-memory) pinned recent view.
-  for (size_t i = 0; i < n; ++i) {
-    if (!fallback[i]) continue;
-    auto snaps = partitions_[i]->GetSnapshotsAt(frontiers[i], times, components, tc);
-    record(snaps.status());
-    if (snaps.ok()) parts[i] = std::move(snaps).value();
-  }
-
-  if (!first_error.ok()) return first_error;
-  return parts;
-}
-
 Result<std::vector<Snapshot>> PartitionedDeltaGraph::GetSnapshots(
     const std::vector<Timestamp>& times, unsigned components) {
-  // Own the trace here (rather than letting RetrieveParts own one) so the
-  // cross-shard merge is on the same trace as the per-shard execution.
-  obs::QueryTrace trace;
-  obs::TraceCtx tc;
-  if (obs::TraceEnabled() && !times.empty()) {
-    trace.set_query_label(times.size() == 1 ? "partitioned_singlepoint"
-                                            : "partitioned_multipoint");
-    tc = obs::TraceCtx{&trace, obs::kNoSpan};
-  }
-  auto parts = RetrieveParts(times, components, tc);
-  if (!parts.ok()) return parts.status();
-  std::vector<Snapshot> merged(times.size());
-  {
-    obs::ScopedSpan merge_span(tc, "merge");
-    for (size_t p = 0; p < partitions_.size(); ++p) {
-      for (size_t i = 0; i < times.size(); ++i) {
-        merged[i].AbsorbDisjoint(std::move(parts.value()[p][i]));
-      }
-    }
-  }
-  if (tc) obs::FinishAndMaybeDump(tc.trace);
-  return merged;
+  RetrievalSession session(this);
+  RetrievalSession::Request* req = session.Submit(times, components);
+  HG_RETURN_NOT_OK(session.Wait());
+  return std::move(req->result);
+}
+
+Result<Snapshot> PartitionedDeltaGraph::GetSnapshot(Timestamp t, unsigned components) {
+  auto snaps = GetSnapshots({t}, components);
+  if (!snaps.ok()) return snaps.status();
+  return std::move(snaps.value()[0]);
 }
 
 Result<std::vector<Snapshot>> PartitionedDeltaGraph::GetSnapshotParts(
     Timestamp t, unsigned components) {
-  auto parts = RetrieveParts({t}, components);
-  if (!parts.ok()) return parts.status();
-  std::vector<Snapshot> flat;
-  flat.reserve(partitions_.size());
-  for (auto& p : parts.value()) flat.push_back(std::move(p.front()));
-  return flat;
+  const std::vector<FrontierPtr> frontiers = PinFrontiers();
+  std::vector<Snapshot> parts;
+  parts.reserve(partitions_.size());
+  for (size_t i = 0; i < partitions_.size(); ++i) {
+    auto snaps = partitions_[i]->GetSnapshotsAt(frontiers[i], {t}, components);
+    if (!snaps.ok()) return snaps.status();
+    parts.push_back(std::move(snaps.value()[0]));
+  }
+  return parts;
 }
 
 DeltaGraphStats PartitionedDeltaGraph::Stats() const {
@@ -399,14 +246,6 @@ DeltaGraphStats PartitionedDeltaGraph::Stats() const {
     agg.materialized_nodes += s.materialized_nodes;
   }
   return agg;
-}
-
-Result<Snapshot> PartitionedDeltaGraph::GetSnapshot(Timestamp t, unsigned components) {
-  auto parts = GetSnapshotParts(t, components);
-  if (!parts.ok()) return parts.status();
-  Snapshot merged;
-  for (auto& p : parts.value()) merged.AbsorbDisjoint(std::move(p));
-  return merged;
 }
 
 }  // namespace hgdb

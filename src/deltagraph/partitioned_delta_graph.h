@@ -38,11 +38,11 @@ class IoPool;    // src/exec/io_pool.h
 /// co-located with their endpoints — nothing in the element-wise delta
 /// machinery needs them to be.
 ///
-/// Retrieval runs every shard's plan concurrently: multipoint queries plan
-/// one Steiner tree per shard, issue every shard's prefetch batch up front
-/// (each on the shard's own I/O lane, so the per-shard fetch pipelines
-/// overlap in flight), then execute all shard plans as sibling task trees on
-/// one shared work-stealing TaskPool.
+/// Retrieval goes through RetrievalSession (src/exec/retrieval_session.h),
+/// the one cross-shard pipeline: it plans one Steiner tree per shard, issues
+/// every shard's prefetch batch up front (each on the shard's own I/O lane,
+/// so the per-shard fetch pipelines overlap in flight), then executes all
+/// shard plans as sibling task trees on one shared work-stealing TaskPool.
 class PartitionedDeltaGraph {
  public:
   /// One store per partition; all partitions share the same options. Stores
@@ -86,29 +86,18 @@ class PartitionedDeltaGraph {
   Result<Snapshot> GetSnapshot(Timestamp t, unsigned components = kCompAll);
 
   /// Per-partition retrieval without merging (a distributed compute engine
-  /// keeps partitions separate; see the compute module).
+  /// keeps partitions separate; see the compute module): `result[s]` is shard
+  /// s's piece of the snapshot at `t`, each shard read through its own
+  /// DeltaGraph::GetSnapshotsAt at one PinFrontiers() vector.
   Result<std::vector<Snapshot>> GetSnapshotParts(Timestamp t,
                                                  unsigned components = kCompAll);
 
-  /// Multipoint retrieval: each shard plans one Steiner tree for all the
-  /// time points; shards run concurrently and results are merged per time
-  /// point. Snapshots are returned in the order of `times`.
+  /// Multipoint retrieval: one request through a RetrievalSession, which
+  /// plans one Steiner tree per shard, runs the shards concurrently and
+  /// merges their pieces per time point. Snapshots are returned in the order
+  /// of `times`.
   Result<std::vector<Snapshot>> GetSnapshots(const std::vector<Timestamp>& times,
                                              unsigned components = kCompAll);
-
-  /// The unmerged core of GetSnapshots: `result[shard][i]` is shard `shard`'s
-  /// piece of the snapshot at `times[i]`. Plans every shard, issues all
-  /// shards' prefetches up front, then executes the shard plans as sibling
-  /// task trees on the resolved pool, each over its prefilled cache (one
-  /// after another, inline, when the pool is serial).
-  Result<std::vector<std::vector<Snapshot>>> RetrieveParts(
-      const std::vector<Timestamp>& times, unsigned components = kCompAll);
-
-  /// RetrieveParts under an externally owned trace: one "shard" span per
-  /// shard plan (carrying that shard's fetches), plus per-shard busy-time
-  /// skew attributes on the enclosing "retrieve" span.
-  Result<std::vector<std::vector<Snapshot>>> RetrieveParts(
-      const std::vector<Timestamp>& times, unsigned components, obs::TraceCtx tc);
 
   /// Index-shape statistics aggregated across every shard: counts and byte
   /// totals are summed; `height` is the tallest shard's (retrieval cost is

@@ -164,7 +164,7 @@ Result<std::vector<Snapshot>> DeltaGraph::GetSnapshots(
   // When tracing is on — globally, or this query won the sampler's draw — a
   // standalone call owns its own trace and dumps it on completion; callers
   // that want programmatic access go through a session
-  // (RetrievalSession::LastTrace) or the traced overload below.
+  // (RetrievalSession::LastTrace) or GetSnapshotsAt with a TraceCtx.
   auto out = [&] {
     if ((obs::TraceEnabled() || obs::TraceSampler::Global().Sample()) &&
         !times.empty() && !frontier->skeleton->leaves().empty()) {
@@ -188,11 +188,6 @@ Result<std::vector<Snapshot>> DeltaGraph::GetSnapshots(
           std::chrono::steady_clock::now() - start)
           .count()));
   return out;
-}
-
-Result<std::vector<Snapshot>> DeltaGraph::GetSnapshots(
-    const std::vector<Timestamp>& times, unsigned components, obs::TraceCtx tc) {
-  return GetSnapshotsAt(PinFrontier(), times, components, tc);
 }
 
 Result<std::vector<Snapshot>> DeltaGraph::GetSnapshotsAt(

@@ -72,11 +72,11 @@ void ParallelPlanExecutor::Start(const Plan& plan, TaskGroup* group) {
   // private cache serves this plan alone, so a plan with fewer than two
   // fetches has nothing to overlap — the walk blocks on its one fetch either
   // way — and skips the I/O pool (e.g. a singlepoint query served from a
-  // materialized node). A shared cache prefetches every plan: its fetches
-  // overlap the other plans sharing it.
+  // materialized node). A RetrievalSession queues its shared caches'
+  // prefetches itself and hands the executor no I/O pool.
   if (io_pool_ != nullptr) {
     const std::vector<PlanFetch> plan_fetches = CollectPlanFetches(plan);
-    if (plan_fetches.size() >= 2 || fetches_ != &own_cache_) {
+    if (plan_fetches.size() >= 2) {
       StartCollectedPrefetch(*dg_, *frontier_->skeleton, plan_fetches, components_,
                              fetches_, io_pool_);
     }

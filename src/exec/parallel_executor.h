@@ -50,8 +50,8 @@ class ParallelPlanExecutor {
   /// Both must outlive the execution. `io_pool` (optional) enables
   /// asynchronous prefetch: Start pre-scans the plan and queues every fetch
   /// on the I/O pool before the first worker task runs, so fetch latency
-  /// overlaps apply work (see src/exec/prefetcher.h). With a private cache,
-  /// plans with fewer than two fetches skip the I/O pool.
+  /// overlaps apply work (see src/exec/prefetcher.h); plans with fewer than
+  /// two fetches skip it.
   ParallelPlanExecutor(const DeltaGraph* dg, FrontierPtr frontier,
                        unsigned components, TaskPool* pool,
                        ExecFetchCache* shared_cache = nullptr,

@@ -13,33 +13,43 @@
 
 namespace hgdb {
 
-/// \brief Batches several in-flight snapshot retrievals over one DeltaGraph
-/// onto a shared TaskPool.
+class PartitionedDeltaGraph;
+
+/// \brief Batches several in-flight snapshot retrievals over one index — a
+/// DeltaGraph (one shard) or a PartitionedDeltaGraph (P shards) — onto a
+/// shared TaskPool. This is the one cross-shard retrieval pipeline.
 ///
-/// Where GetSnapshots runs one query to completion, a session lets a caller
-/// queue k independent GetSnapshot(s)-shaped requests, execute all of their
-/// plans concurrently, and share one fetch pin across them — two requests
-/// traversing the same skeleton edge fetch and decode it once (the "batch
-/// their DeltaStore fetches" half of serving concurrent traffic; the other
-/// half is the per-plan subtree parallelism, which sessions get for free
-/// because every request's subtrees land in the same pool).
+/// Each Submit runs four phases, in this order:
+///   1. pin one frontier per shard;
+///   2. plan every shard (a shard with no leaves replays its pinned recent
+///      view instead, synchronously);
+///   3. queue every shard's prefetch into the shard's session-wide fetch
+///      cache, on the shard's own I/O lane;
+///   4. only then start the shard executors, as sibling task trees in one
+///      group (on a serial pool each runs inline while the I/O lanes keep
+///      fetching the other shards' payloads).
+/// Wait stitches each request's per-shard pieces per time point with
+/// Snapshot::AbsorbDisjoint; for one shard that is an O(1) store steal.
+///
+/// The fetch caches live as long as the session, so two requests traversing
+/// the same skeleton edge of the same shard fetch and decode it once, and
+/// every request's subtrees share the pool.
 ///
 /// Usage:
-///   RetrievalSession session(&dg);
+///   RetrievalSession session(&dg);           // or (&pdg)
 ///   auto* a = session.Submit({t1, t2});
 ///   auto* b = session.Submit({t3}, kCompStruct);
 ///   HG_RETURN_NOT_OK(session.Wait());       // runs everything, helping
 ///   use(a->result.value());                  // in the order of a's times
 ///
 /// A session is single-owner: Submit/Wait are driven by one thread (that
-/// serializes the planning step, which shares the index's SSSP cache), while
-/// execution fans out on the pool. Sessions from *different* threads over the
-/// same DeltaGraph are safe — the underlying stores and caches are
-/// thread-safe. Each Submit pins the index's published frontier (epoch) and
-/// the whole request — planning, prefetch, execution — reads only that
-/// immutable state, so the single ingest writer may Append/Finalize
-/// concurrently with in-flight sessions (see src/server/README.md for the
-/// visibility contract).
+/// serializes the planning step, which shares each shard's SSSP cache),
+/// while execution fans out on the pool. Sessions from *different* threads
+/// over the same index are safe — the underlying stores and caches are
+/// thread-safe. Each Submit pins the published frontiers and the whole
+/// request reads only that immutable state, so the single ingest writer may
+/// Append/Finalize concurrently with in-flight sessions (see
+/// src/server/README.md for the visibility contract).
 class RetrievalSession {
  public:
   /// One queued retrieval and, after Wait, its outcome.
@@ -49,56 +59,67 @@ class RetrievalSession {
     /// Snapshots in the order of `times`; set by Wait.
     Result<std::vector<Snapshot>> result = Status::Internal("session not waited");
 
-    /// The epoch this request pinned at Submit. Everything the request reads
-    /// — skeleton, current graph, recent tail — resolves against this
-    /// frontier, so concurrent appends/finalizes never skew the result.
-    FrontierPtr frontier;
-
-    Plan plan;  // Owned here: executors reference it until Wait returns.
-    std::unique_ptr<ParallelPlanExecutor> executor;
+    /// frontiers[s] is shard s's published state, pinned at Submit. Shards
+    /// publish independently; the whole request reads this one vector, so
+    /// concurrent appends/finalizes never skew the result.
+    std::vector<FrontierPtr> frontiers;
+    /// plans[s] is shard s's plan (owned here: executors reference it until
+    /// Wait returns); its root is null when the shard replayed instead.
+    std::vector<Plan> plans;
+    /// executors[s] is null when shard s replayed; its piece then sits in
+    /// replayed[s]. Both are cleared once Wait has stitched the request.
+    std::vector<std::unique_ptr<ParallelPlanExecutor>> executors;
+    std::vector<Result<std::vector<Snapshot>>> replayed;
     obs::SpanId span = obs::kNoSpan;  ///< "request" span; closed by Wait.
-
-    /// Epoch of the pinned frontier (0 before Submit resolved it).
-    uint64_t pinned_epoch() const {
-      return frontier == nullptr ? 0 : frontier->epoch;
-    }
   };
 
-  /// `pool` defaults to DeltaGraph::ResolveTaskPool(). Prefetch runs on the DeltaGraph's
-  /// resolved I/O pool (SetIoPool / HISTGRAPH_IO_THREADS); each Submit
-  /// queues its plan's fetches before execution starts, so requests share
-  /// both the fetch pin and the prefetch pipeline.
+  /// `pool` defaults to the index's ResolveTaskPool(). Prefetch runs on each
+  /// shard's resolved I/O pool (SetIoPool / HISTGRAPH_IO_THREADS).
   explicit RetrievalSession(DeltaGraph* dg, TaskPool* pool = nullptr);
+  explicit RetrievalSession(PartitionedDeltaGraph* pdg, TaskPool* pool = nullptr);
   ~RetrievalSession();
 
   RetrievalSession(const RetrievalSession&) = delete;
   RetrievalSession& operator=(const RetrievalSession&) = delete;
 
-  /// Queues a multipoint retrieval and starts it on the pool. The returned
-  /// pointer stays valid for the session's lifetime; its `result` is
-  /// meaningful only after Wait.
+  /// Queues a multipoint retrieval and starts every shard's plan on the pool.
+  /// The returned pointer stays valid for the session's lifetime; its
+  /// `result` is meaningful only after Wait.
   Request* Submit(std::vector<Timestamp> times, unsigned components = kCompAll);
 
-  /// Blocks (helping the pool) until every submitted request finishes and
-  /// fills each request's `result`. Returns the first error, if any (per-
-  /// request statuses are also available on the requests). Idempotent.
+  /// Blocks (helping the pool) until every submitted request finishes, then
+  /// stitches each request's pieces into its `result`. Returns the first
+  /// error, if any (per-request statuses are also available on the
+  /// requests). Idempotent.
   Status Wait();
 
   size_t request_count() const { return requests_.size(); }
 
   /// The session's query trace, or nullptr when tracing is off
-  /// (HISTGRAPH_TRACE unset and obs::SetTraceEnabled never called). Spans are
-  /// complete after Wait; the pointer stays valid for the session's lifetime.
+  /// (HISTGRAPH_TRACE unset and obs::SetTraceEnabled never called). Spans —
+  /// per-request "request" spans with per-shard busy-time skew attributes,
+  /// session-wide per-shard "shard" spans carrying every fetch through that
+  /// shard's cache, and per-request "merge" spans — are complete after Wait;
+  /// the pointer stays valid for the session's lifetime.
   const obs::QueryTrace* LastTrace() const { return trace_.get(); }
 
  private:
-  DeltaGraph* dg_;
+  RetrievalSession(std::vector<DeltaGraph*> shards, TaskPool* pool);
+
+  /// Collects every shard piece of `req` and merges them per time point.
+  void Stitch(Request* req);
+
+  const std::vector<DeltaGraph*> shards_;
   TaskPool* pool_;
-  /// Declared before fetches_ so in-flight prefetch drains (waited out by the
-  /// cache's destructor) never outlive the trace they attribute to.
+  /// Declared before caches_ so in-flight prefetch drains (waited out by the
+  /// caches' destructors) never outlive the trace they attribute to.
   std::unique_ptr<obs::QueryTrace> trace_;
   bool trace_dumped_ = false;
-  ExecFetchCache fetches_;  ///< Shared across all requests in the session.
+  /// Session-lifetime span per shard; the shard's cache attributes its
+  /// drains and demand fetches here. Closed by the first Wait that dumps.
+  std::vector<obs::SpanId> shard_spans_;
+  /// One fetch cache per shard, shared across all requests in the session.
+  std::vector<std::unique_ptr<ExecFetchCache>> caches_;
   std::vector<std::unique_ptr<Request>> requests_;
   // Declared last (destroyed first): in-flight tasks reference the plans and
   // executors above; the destructor also waits explicitly.

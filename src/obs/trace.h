@@ -29,8 +29,8 @@ namespace obs {
 /// granularity — dozens per query, not millions); the high-frequency tallies
 /// (fetch counts, LRU hits, bytes) are relaxed atomics updated lock-free.
 ///
-/// Tracing is enabled per-session: `RetrievalSession`/`Partitioned-
-/// RetrievalSession` (and the one-shot DeltaGraph::GetSnapshots entry points)
+/// Tracing is enabled per-session: `RetrievalSession`, over one shard or many
+/// (and the one-shot DeltaGraph::GetSnapshots entry points)
 /// allocate a QueryTrace when `TraceEnabled()` — set by HISTGRAPH_TRACE=1 or
 /// programmatically. When HISTGRAPH_TRACE is set the finished trace is also
 /// dumped as JSON to stderr (or to the file named by HISTGRAPH_TRACE_OUT);

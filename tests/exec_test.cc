@@ -10,11 +10,13 @@
 #include <unordered_set>
 
 #include "deltagraph/delta_graph.h"
+#include "deltagraph/partitioned_delta_graph.h"
 #include "exec/io_pool.h"
 #include "exec/parallel_executor.h"
 #include "exec/prefetcher.h"
 #include "exec/retrieval_session.h"
 #include "exec/task_pool.h"
+#include "tests/test_oracle.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 #include "workload/trace_world.h"
@@ -318,64 +320,161 @@ TEST(PrefetchTest, SessionWithPrefetchMatchesBlockingRetrieval) {
 }
 
 // ---------------------------------------------------------------------------
-// RetrievalSession
+// RetrievalSession: one suite over both index shapes
 // ---------------------------------------------------------------------------
 
-// Alternate components across a session's requests.
-unsigned i_th_components(size_t i) {
-  return i % 2 == 0 ? unsigned{kCompAll} : unsigned{kCompStruct};
+// One point of the session matrix: shard count (0 = a plain DeltaGraph),
+// compute pool parallelism (1 = TaskPool::Serial()), I/O threads (0 = none).
+struct SessionShape {
+  size_t shards;
+  int threads;
+  int io_threads;
+};
+
+std::string SessionShapeName(const testing::TestParamInfo<SessionShape>& info) {
+  const SessionShape& s = info.param;
+  return (s.shards == 0 ? std::string("Plain") : "P" + std::to_string(s.shards)) +
+         (s.threads == 1 ? "_Serial" : "_Pool" + std::to_string(s.threads)) +
+         (s.io_threads == 0 ? "_NoIo" : "_Io" + std::to_string(s.io_threads));
 }
 
-TEST(RetrievalSessionTest, BatchedRequestsMatchDirectRetrieval) {
-  BuiltIndex built = BuildRandomIndex(321, 2500, 100);
-  test::SeededRng rng(5);
-  TaskPool pool(4);
-
-  std::vector<std::vector<Timestamp>> batches;
-  for (int i = 0; i < 5; ++i) batches.push_back(test::RandomTimes(rng, built.events, 4));
-
-  RetrievalSession session(built.dg.get(), &pool);
-  std::vector<RetrievalSession::Request*> tickets;
-  for (const auto& b : batches) {
-    tickets.push_back(session.Submit(b, i_th_components(tickets.size())));
+class RetrievalSessionTest : public testing::TestWithParam<SessionShape> {
+ protected:
+  void SetUp() override {
+    const SessionShape& s = GetParam();
+    if (s.threads > 1) own_pool_ = std::make_unique<TaskPool>(s.threads);
+    if (s.io_threads > 0) io_ = std::make_unique<IoPool>(s.io_threads);
+    topts_.num_events = 1200;
+    topts_.seed = 4000 + s.shards;
+    log_ = GenerateRandomTrace(topts_).events;
   }
-  ASSERT_TRUE(session.Wait().ok());
 
-  built.dg->SetTaskPool(nullptr);
-  for (size_t i = 0; i < batches.size(); ++i) {
-    ASSERT_TRUE(tickets[i]->result.ok()) << tickets[i]->result.status().ToString();
-    auto expect = built.dg->GetSnapshots(batches[i], i_th_components(i));
-    ASSERT_TRUE(expect.ok());
-    ASSERT_EQ(tickets[i]->result.value().size(), batches[i].size());
-    for (size_t j = 0; j < batches[i].size(); ++j) {
-      EXPECT_TRUE(tickets[i]->result.value()[j].Equals(expect.value()[j]))
-          << "request " << i << " time index " << j;
+  TaskPool* pool() { return own_pool_ ? own_pool_.get() : &TaskPool::Serial(); }
+
+  // Indexes the first `indexed` events of the log (cutting leaves of
+  // `leaf_size` and finalizing when `finalize`), then appends the rest
+  // un-finalized, so plans also replay the recent tail.
+  void Build(size_t indexed, size_t leaf_size, bool finalize) {
+    store_ = NewMemKVStore();
+    DeltaGraphOptions opts;
+    opts.leaf_size = leaf_size;
+    opts.arity = 2;
+    const std::vector<Event> head(log_.begin(), log_.begin() + indexed);
+    const std::vector<Event> tail(log_.begin() + indexed, log_.end());
+    if (GetParam().shards == 0) {
+      auto dg = DeltaGraph::Create(store_.get(), opts);
+      ASSERT_TRUE(dg.ok());
+      dg_ = std::move(dg).value();
+      dg_->SetTaskPool(pool());
+      dg_->SetIoPool(io_.get());
+      ASSERT_TRUE(dg_->AppendAll(head).ok());
+      if (finalize) ASSERT_TRUE(dg_->Finalize().ok());
+      ASSERT_TRUE(dg_->AppendAll(tail).ok());
+    } else {
+      auto pdg = PartitionedDeltaGraph::Create(store_.get(), GetParam().shards, opts);
+      ASSERT_TRUE(pdg.ok());
+      pdg_ = std::move(pdg).value();
+      pdg_->SetTaskPool(pool());
+      pdg_->SetIoPool(io_.get());
+      ASSERT_TRUE(pdg_->AppendAll(head).ok());
+      if (finalize) ASSERT_TRUE(pdg_->Finalize().ok());
+      ASSERT_TRUE(pdg_->AppendAll(tail).ok());
     }
   }
+
+  std::unique_ptr<RetrievalSession> NewSession() {
+    return dg_ != nullptr ? std::make_unique<RetrievalSession>(dg_.get(), pool())
+                          : std::make_unique<RetrievalSession>(pdg_.get(), pool());
+  }
+
+  // Expects `req` to equal naive replay of the log at each of its times.
+  void ExpectReplay(const RetrievalSession::Request& req) {
+    ASSERT_TRUE(req.result.ok()) << req.result.status().ToString();
+    ASSERT_EQ(req.result.value().size(), req.times.size());
+    for (size_t i = 0; i < req.times.size(); ++i) {
+      const auto oracle =
+          test::NaiveReplayOracle::At(log_, req.times[i], req.components);
+      EXPECT_TRUE(oracle.Matches(req.result.value()[i]))
+          << "t=" << req.times[i] << " components=" << req.components;
+    }
+  }
+
+  RandomTraceOptions topts_;
+  std::vector<Event> log_;
+  std::unique_ptr<TaskPool> own_pool_;
+  std::unique_ptr<IoPool> io_;
+  std::unique_ptr<KVStore> store_;
+  std::unique_ptr<DeltaGraph> dg_;
+  std::unique_ptr<PartitionedDeltaGraph> pdg_;
+};
+
+TEST_P(RetrievalSessionTest, MixedComponentMasksMatchReplay) {
+  Build(log_.size() - 60, 40, /*finalize=*/true);
+  test::SeededRng rng(17);
+  const unsigned masks[] = {kCompAll, kCompStruct, kCompStruct | kCompNodeAttr,
+                            kCompStruct | kCompEdgeAttr, kCompAll};
+  auto session = NewSession();
+  std::vector<RetrievalSession::Request*> requests;
+  for (unsigned mask : masks) {
+    requests.push_back(session->Submit(test::RandomTimes(rng, log_, 3), mask));
+  }
+  ASSERT_TRUE(session->Wait().ok());
+  for (const auto* req : requests) ExpectReplay(*req);
 }
 
-TEST(RetrievalSessionTest, EmptyAndUnfinalizedIndexFallBack) {
-  auto store = NewMemKVStore();
-  DeltaGraphOptions opts;
-  opts.leaf_size = 10000;  // Nothing gets cut: skeleton stays empty.
-  auto dg = DeltaGraph::Create(store.get(), opts);
-  ASSERT_TRUE(dg.ok());
-  RandomTraceOptions topts;
-  topts.num_events = 200;
-  GeneratedTrace trace = GenerateRandomTrace(topts);
-  ASSERT_TRUE(dg.value()->AppendAll(trace.events).ok());
-
-  TaskPool pool(2);
-  RetrievalSession session(dg.value().get(), &pool);
-  auto* empty = session.Submit({});
-  auto* replayed = session.Submit({trace.events.back().time});
-  ASSERT_TRUE(session.Wait().ok());
-  EXPECT_TRUE(empty->result.ok());
-  EXPECT_EQ(empty->result.value().size(), 0u);
-  ASSERT_TRUE(replayed->result.ok());
-  EXPECT_TRUE(replayed->result.value()[0].Equals(
-      ReplayAt(trace.events, trace.events.back().time)));
+TEST_P(RetrievalSessionTest, EmptyRequestAndRepeatedTimes) {
+  Build(log_.size() - 60, 40, /*finalize=*/true);
+  const Timestamp mid = log_[log_.size() / 2].time;
+  const Timestamp late = log_[log_.size() - 20].time;
+  auto session = NewSession();
+  auto* empty = session->Submit({});
+  auto* repeated = session->Submit({mid, late, mid, mid});
+  ASSERT_TRUE(session->Wait().ok());
+  ASSERT_TRUE(empty->result.ok());
+  EXPECT_TRUE(empty->result.value().empty());
+  ExpectReplay(*repeated);
 }
+
+TEST_P(RetrievalSessionTest, WaitTwiceKeepsResults) {
+  Build(log_.size() - 60, 40, /*finalize=*/true);
+  test::SeededRng rng(29);
+  auto session = NewSession();
+  auto* a = session->Submit(test::RandomTimes(rng, log_, 4));
+  auto* b = session->Submit(test::RandomTimes(rng, log_, 2), kCompStruct);
+  ASSERT_TRUE(session->Wait().ok());
+  ASSERT_TRUE(session->Wait().ok());
+  ExpectReplay(*a);
+  ExpectReplay(*b);
+}
+
+// The first append cuts leaf 0, so only an index without events has cut no
+// leaf: every shard then replays its (empty) pinned recent view.
+TEST_P(RetrievalSessionTest, IndexWithNoLeafFallsBackOnEveryShard) {
+  test::SeededRng rng(41);
+  const std::vector<Timestamp> times = test::RandomTimes(rng, log_, 4);
+  log_.clear();
+  Build(0, 40, /*finalize=*/false);
+  auto session = NewSession();
+  auto* req = session->Submit(times);
+  ASSERT_TRUE(session->Wait().ok());
+  ExpectReplay(*req);
+  const size_t shards = std::max<size_t>(1, GetParam().shards);
+  ASSERT_EQ(req->plans.size(), shards);
+  for (const Plan& plan : req->plans) EXPECT_EQ(plan.root, nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, RetrievalSessionTest,
+    testing::ValuesIn([] {
+      std::vector<SessionShape> shapes;
+      for (size_t shards : {0, 2, 4}) {
+        for (int threads : {1, 4}) {
+          for (int io_threads : {0, 2}) shapes.push_back({shards, threads, io_threads});
+        }
+      }
+      return shapes;
+    }()),
+    SessionShapeName);
 
 // ---------------------------------------------------------------------------
 // Concurrency stress (the TSan workload)

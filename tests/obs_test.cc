@@ -445,8 +445,8 @@ TEST(TraceTest, EveryKvReadLandsInExactlyOneSpan) {
 
   counting->ResetCount();
   obs::QueryTrace trace;
-  auto result = dg->GetSnapshots(times, kCompAll,
-                                 obs::TraceCtx{&trace, obs::kNoSpan});
+  auto result = dg->GetSnapshotsAt(dg->PinFrontier(), times, kCompAll,
+                                   obs::TraceCtx{&trace, obs::kNoSpan});
   ASSERT_TRUE(result.ok());
   trace.Finish();
 
@@ -464,8 +464,9 @@ TEST(TraceTest, EveryKvReadLandsInExactlyOneSpan) {
   // and the trace says so too.
   counting->ResetCount();
   obs::QueryTrace warm;
-  ASSERT_TRUE(
-      dg->GetSnapshots(times, kCompAll, obs::TraceCtx{&warm, obs::kNoSpan}).ok());
+  ASSERT_TRUE(dg->GetSnapshotsAt(dg->PinFrontier(), times, kCompAll,
+                                 obs::TraceCtx{&warm, obs::kNoSpan})
+                  .ok());
   warm.Finish();
   EXPECT_EQ(counting->keys_read(), 0u);
   EXPECT_EQ(SumSpanKvKeys(warm), 0u);

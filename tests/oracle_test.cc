@@ -323,7 +323,7 @@ TEST(ReplayOracleTest, SinglepointNearHeadMatchesNaiveReplay) {
       ASSERT_TRUE(session.Wait().ok());
       size_t from_current = 0;
       for (const auto* req : requests) {
-        const auto& root_steps = req->plan.root->children;
+        const auto& root_steps = req->plans[0].root->children;
         from_current += !root_steps.empty() &&
                         root_steps[0].first.kind == PlanStep::Kind::kLoadCurrent;
       }
@@ -528,9 +528,6 @@ TEST(ReplayOracleTest, LeafBoundariesMatchReplayAcrossIncrementalFinalizes) {
         SCOPED_TRACE("reopened");
         ExpectMatchesReplay(*dg, before_reopen, BoundaryTimes({&dg->skeleton()}));
       }
-      // Open rebuilds the current graph that Append applies to only when it
-      // is maintained.
-      if (!maintain_current) continue;
       AppendInBatches(log, reopen_at, log.size(), 2, append, finalize);
       SCOPED_TRACE("appended after reopen");
       ExpectMatchesReplay(*dg, log, BoundaryTimes({&dg->skeleton()}));

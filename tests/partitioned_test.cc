@@ -1,7 +1,8 @@
 // Sharded-index coverage: chunk-aligned routing invariants, the single-store
 // prefix-namespace layout (Create/Open round trip), parallel per-shard ingest,
-// parts-vs-merged consistency of RetrieveParts/GetSnapshotParts, the
-// PartitionedRetrievalSession, and GraphPool::OverlayHistoricalParts. Every
+// parts-vs-merged consistency of GetSnapshotParts, and
+// GraphPool::OverlayHistoricalParts (sessions over a sharded index are in
+// exec_test's RetrievalSessionTest). Every
 // retrieval result is checked against the NaiveReplayOracle (tests/
 // test_oracle.h), which shares no code with the sharding machinery.
 
@@ -14,7 +15,6 @@
 
 #include "deltagraph/partitioned_delta_graph.h"
 #include "exec/io_pool.h"
-#include "exec/partitioned_session.h"
 #include "exec/task_pool.h"
 #include "graphpool/graph_pool.h"
 #include "kvstore/kv_store.h"
@@ -216,59 +216,22 @@ TEST(PartitionedTest, PartsAreDisjointAndMergeToWhole) {
     SCOPED_TRACE(rng.Desc());
     PartitionedWorkload w = BuildPartitioned(rng, 4, &pool);
 
-    std::vector<Timestamp> times = test::RandomTimes(rng, w.log, 4);
-    auto parts = w.pdg->RetrieveParts(times);
-    ASSERT_TRUE(parts.ok()) << parts.status().ToString();
-    ASSERT_EQ(parts.value().size(), 4u);
-
-    for (size_t i = 0; i < times.size(); ++i) {
+    for (Timestamp t : test::RandomTimes(rng, w.log, 4)) {
+      auto parts = w.pdg->GetSnapshotParts(t);
+      ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+      ASSERT_EQ(parts.value().size(), 4u);
       size_t node_sum = 0, edge_sum = 0;
       Snapshot merged;
-      for (size_t p = 0; p < parts.value().size(); ++p) {
-        node_sum += parts.value()[p][i].NodeCount();
-        edge_sum += parts.value()[p][i].EdgeCount();
-        merged.AbsorbDisjoint(std::move(parts.value()[p][i]));
+      for (Snapshot& part : parts.value()) {
+        node_sum += part.NodeCount();
+        edge_sum += part.EdgeCount();
+        merged.AbsorbDisjoint(std::move(part));
       }
-      EXPECT_EQ(merged.NodeCount(), node_sum) << "t=" << times[i];
-      EXPECT_EQ(merged.EdgeCount(), edge_sum) << "t=" << times[i];
-      auto oracle = test::NaiveReplayOracle::At(w.log, times[i], kCompAll);
-      EXPECT_TRUE(oracle.Matches(merged)) << "t=" << times[i];
+      EXPECT_EQ(merged.NodeCount(), node_sum) << "t=" << t;
+      EXPECT_EQ(merged.EdgeCount(), edge_sum) << "t=" << t;
+      auto oracle = test::NaiveReplayOracle::At(w.log, t, kCompAll);
+      EXPECT_TRUE(oracle.Matches(merged)) << "t=" << t;
     }
-  }
-}
-
-TEST(PartitionedSessionTest, BatchedRequestsMatchOracle) {
-  TaskPool pool(4);
-  IoPool io(2);
-  for (uint64_t seed : test::PropertySeeds(4, 9400)) {
-    test::SeededRng rng(seed);
-    SCOPED_TRACE(rng.Desc());
-    PartitionedWorkload w = BuildPartitioned(rng, 3, &pool);
-    w.pdg->SetIoPool(&io);
-
-    std::vector<Timestamp> times_a = test::RandomTimes(rng, w.log, 4);
-    std::vector<Timestamp> times_b = test::RandomTimes(rng, w.log, 3);
-
-    PartitionedRetrievalSession session(w.pdg.get(), &pool);
-    auto* a = session.Submit(times_a);
-    auto* b = session.Submit(times_b, kCompStruct);
-    auto* empty = session.Submit({});
-    ASSERT_TRUE(session.Wait().ok());
-    ASSERT_TRUE(session.Wait().ok());  // Idempotent.
-
-    ASSERT_TRUE(a->result.ok()) << a->result.status().ToString();
-    ASSERT_EQ(a->result.value().size(), times_a.size());
-    for (size_t i = 0; i < times_a.size(); ++i) {
-      auto oracle = test::NaiveReplayOracle::At(w.log, times_a[i], kCompAll);
-      EXPECT_TRUE(oracle.Matches(a->result.value()[i])) << "t=" << times_a[i];
-    }
-    ASSERT_TRUE(b->result.ok()) << b->result.status().ToString();
-    for (size_t i = 0; i < times_b.size(); ++i) {
-      auto oracle = test::NaiveReplayOracle::At(w.log, times_b[i], kCompStruct);
-      EXPECT_TRUE(oracle.Matches(b->result.value()[i])) << "t=" << times_b[i];
-    }
-    ASSERT_TRUE(empty->result.ok());
-    EXPECT_TRUE(empty->result.value().empty());
   }
 }
 

@@ -9,16 +9,16 @@
 //                              too)
 //   trace_view -               same, reading stdin
 //   trace_view --demo          build a small in-memory partitioned index,
-//                              run one traced multipoint retrieval through a
-//                              PartitionedRetrievalSession, and render the
+//                              run two traced multipoint requests through
+//                              one RetrievalSession, and render the
 //                              resulting trace (the CI smoke for the whole
 //                              tracing pipeline)
 //
 // Example rendering:
-//   query partitioned_multipoint  total 12.41 ms
+//   query partitioned_session     total 12.41 ms
 //     fetches 38 (prefetched 36, demand 2, coverage 94.7%) | lru 31/38 hits
 //     kv reads 87 keys, 412.3 KB read, 412.3 KB decoded
-//     shard (shard=0, steps=12)                   4.07 ms
+//     shard (shard=0)                             4.07 ms
 //       io.drain (claimed=9, kv_keys=27)          2.93 ms
 //     ...
 
@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "deltagraph/partitioned_delta_graph.h"
-#include "exec/partitioned_session.h"
+#include "exec/retrieval_session.h"
 #include "kvstore/kv_store.h"
 #include "obs/json.h"
 #include "obs/trace.h"
@@ -190,7 +190,7 @@ int RunDemo() {
   {
     const Timestamp lo = gen.events.front().time;
     const Timestamp hi = gen.events.back().time;
-    PartitionedRetrievalSession session(&index);
+    RetrievalSession session(&index);
     session.Submit({lo + (hi - lo) / 4, lo + (hi - lo) / 2, hi});
     session.Submit({hi - (hi - lo) / 3});
     if (!session.Wait().ok()) {
