@@ -67,7 +67,7 @@ int main() {
     size_t count = 0;
     for (size_t i = 0; i < skel.edge_count(); ++i) {
       const auto& e = skel.edge(static_cast<int32_t>(i));
-      if (e.deleted || e.is_eventlist) continue;
+      if (e.is_eventlist) continue;
       if (skel.node(e.from).level == 2 && skel.node(e.to).is_leaf) {
         measured += static_cast<double>(e.sizes.TotalElements(kCompAll));
         ++count;
@@ -95,8 +95,7 @@ int main() {
     const auto& skel = dg->skeleton();
     uint64_t root_elements = 0;
     for (int32_t eid : skel.incident_edges(skel.super_root())) {
-      const auto& e = skel.edge(eid);
-      if (!e.deleted) root_elements += e.sizes.TotalElements(kCompAll);
+      root_elements += skel.edge(eid).sizes.TotalElements(kCompAll);
     }
     // Deletions hit edges only: survival model over the edge population plus
     // the never-deleted node population.

@@ -174,8 +174,9 @@ void BM_PlanSinglepointUncached(benchmark::State& state) {
   (void)dg->AppendAll(events);
   (void)dg->Finalize();
   const Timestamp mid = events.back().time / 2;
+  const FrontierPtr frontier = dg->PinFrontier();
   for (auto _ : state) {
-    auto plan = dg->PlanFor({mid});
+    auto plan = dg->PlanForAt(frontier, {mid});
     benchmark::DoNotOptimize(plan);
   }
 }

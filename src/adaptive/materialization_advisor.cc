@@ -62,7 +62,6 @@ std::vector<double> BuildCostFromScratch(const Skeleton& skel, unsigned componen
     if (d > dist[u]) continue;
     for (int32_t eid : skel.incident_edges(u)) {
       const SkeletonEdge& e = skel.edge(eid);
-      if (e.deleted) continue;
       const double w =
           costs.per_edge_overhead + static_cast<double>(e.sizes.TotalBytes(components));
       const int32_t v = e.from == u ? e.to : e.from;
@@ -177,8 +176,7 @@ Result<MaterializationAdvisor::TickResult> MaterializationAdvisor::Tick(
     c.resident = snap != nullptr;
     c.traffic = touches.Count(static_cast<DeltaId>(n.id));
     for (int32_t eid : skel.incident_edges(n.id)) {
-      const SkeletonEdge& e = skel.edge(eid);
-      if (!e.deleted) c.traffic += fetches.Count(e.delta_id);
+      c.traffic += fetches.Count(skel.edge(eid).delta_id);
     }
     c.est_bytes =
         c.resident ? static_cast<double>(snap->MemoryBytes())

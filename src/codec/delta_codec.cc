@@ -13,8 +13,6 @@ namespace codec {
 
 namespace {
 
-// -- v1 columnar format -------------------------------------------------------
-
 void EncodeNodeColumn(const std::vector<NodeId>& ids, uint8_t tag, std::string* out) {
   if (ids.empty()) return;
   std::string payload;
@@ -121,10 +119,16 @@ Status DecodeAttrColumns(Slice payload, DictView* dict, std::vector<AttrEntry>* 
   return Status::OK();
 }
 
-Status DecodeV1(ComponentMask component, const Slice& blob, Delta* out) {
+}  // namespace
+
+Status DecodeDeltaComponent(ComponentMask component, const Slice& blob, Delta* out) {
+  if (component != kCompStruct && component != kCompNodeAttr &&
+      component != kCompEdgeAttr) {
+    return Status::InvalidArgument("delta: unknown component");
+  }
   BlockReader reader;
   std::unordered_map<uint8_t, Slice> blocks;
-  HG_RETURN_NOT_OK(ReadBlocks(blob, &reader, &blocks));
+  HG_RETURN_NOT_OK(ReadBlocks(blob, kDeltaVersion, &reader, &blocks));
   auto block = [&](uint8_t tag, Slice* payload) {
     auto it = blocks.find(tag);
     if (it == blocks.end()) return false;
@@ -166,101 +170,9 @@ Status DecodeV1(ComponentMask component, const Slice& blob, Delta* out) {
   return Status::OK();
 }
 
-// -- Legacy v0 row format (the pre-codec encoding, kept verbatim) -------------
-
-void EncodeNodeIdsV0(const std::vector<NodeId>& ids, std::string* out) {
-  PutVarint64(out, ids.size());
-  NodeId prev = 0;
-  for (NodeId n : ids) {
-    PutVarint64(out, n - prev);
-    prev = n;
-  }
-}
-
-Status DecodeNodeIdsV0(Slice* in, std::vector<NodeId>* ids) {
-  uint64_t count = 0;
-  HG_RETURN_NOT_OK(ExpectVarint64(in, &count, "delta node count"));
-  ids->clear();
-  if (count > in->size()) return Status::Corruption("delta node count exceeds blob");
-  ids->reserve(static_cast<size_t>(count));
-  NodeId prev = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t gap = 0;
-    HG_RETURN_NOT_OK(ExpectVarint64(in, &gap, "delta node id"));
-    prev += gap;
-    ids->push_back(prev);
-  }
-  return Status::OK();
-}
-
-void EncodeEdgesV0(const std::vector<std::pair<EdgeId, EdgeRecord>>& edges,
-                   std::string* out) {
-  PutVarint64(out, edges.size());
-  EdgeId prev = 0;
-  for (const auto& [id, rec] : edges) {
-    PutVarint64(out, id - prev);
-    prev = id;
-    PutVarint64(out, rec.src);
-    PutVarint64(out, rec.dst);
-    out->push_back(rec.directed ? 1 : 0);
-  }
-}
-
-Status DecodeEdgesV0(Slice* in, std::vector<std::pair<EdgeId, EdgeRecord>>* edges) {
-  uint64_t count = 0;
-  HG_RETURN_NOT_OK(ExpectVarint64(in, &count, "delta edge count"));
-  edges->clear();
-  if (count > in->size()) return Status::Corruption("delta edge count exceeds blob");
-  edges->reserve(static_cast<size_t>(count));
-  EdgeId prev = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t gap = 0, src = 0, dst = 0;
-    HG_RETURN_NOT_OK(ExpectVarint64(in, &gap, "delta edge id"));
-    HG_RETURN_NOT_OK(ExpectVarint64(in, &src, "delta edge src"));
-    HG_RETURN_NOT_OK(ExpectVarint64(in, &dst, "delta edge dst"));
-    if (in->empty()) return Status::Corruption("delta edge: truncated directed flag");
-    const bool directed = (*in)[0] != 0;
-    in->RemovePrefix(1);
-    prev += gap;
-    edges->emplace_back(prev, EdgeRecord{src, dst, directed});
-  }
-  return Status::OK();
-}
-
-void EncodeAttrEntriesV0(const std::vector<AttrEntry>& entries, std::string* out) {
-  PutVarint64(out, entries.size());
-  for (const auto& a : entries) {
-    PutVarint64(out, a.owner);
-    PutLengthPrefixedSlice(out, Slice(AttrStr(a.key)));
-    PutLengthPrefixedSlice(out, Slice(AttrStr(a.value)));
-  }
-}
-
-Status DecodeAttrEntriesV0(Slice* in, std::vector<AttrEntry>* entries) {
-  uint64_t count = 0;
-  HG_RETURN_NOT_OK(ExpectVarint64(in, &count, "delta attr count"));
-  entries->clear();
-  if (count > in->size()) return Status::Corruption("delta attr count exceeds blob");
-  entries->reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    AttrEntry a;
-    Slice key, value;
-    HG_RETURN_NOT_OK(ExpectVarint64(in, &a.owner, "delta attr owner"));
-    if (!GetLengthPrefixedSlice(in, &key) || !GetLengthPrefixedSlice(in, &value)) {
-      return Status::Corruption("delta attr: truncated string");
-    }
-    a.key = InternAttr(key.ToView());
-    a.value = InternAttr(value.ToView());
-    entries->push_back(a);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 void EncodeDeltaComponent(const Delta& d, ComponentMask component, std::string* out) {
   out->clear();
-  PutHeader(out);
+  PutHeader(out, kDeltaVersion);
   switch (component) {
     case kCompStruct:
       EncodeNodeColumn(d.add_nodes, kBlockNodeAdds, out);
@@ -290,61 +202,6 @@ void EncodeDeltaComponent(const Delta& d, ComponentMask component, std::string* 
     default:
       break;  // Deltas have no transient component.
   }
-}
-
-Status DecodeDeltaComponent(ComponentMask component, const Slice& blob, Delta* out) {
-  if (component != kCompStruct && component != kCompNodeAttr &&
-      component != kCompEdgeAttr) {
-    return Status::InvalidArgument("delta: unknown component");
-  }
-  if (HasHeader(blob)) return DecodeV1(component, blob, out);
-  return DecodeDeltaComponentV0(component, blob, out);
-}
-
-void EncodeDeltaComponentV0(const Delta& d, ComponentMask component, std::string* out) {
-  out->clear();
-  switch (component) {
-    case kCompStruct:
-      EncodeNodeIdsV0(d.add_nodes, out);
-      EncodeNodeIdsV0(d.del_nodes, out);
-      EncodeEdgesV0(d.add_edges, out);
-      EncodeEdgesV0(d.del_edges, out);
-      break;
-    case kCompNodeAttr:
-      EncodeAttrEntriesV0(d.add_node_attrs, out);
-      EncodeAttrEntriesV0(d.del_node_attrs, out);
-      break;
-    case kCompEdgeAttr:
-      EncodeAttrEntriesV0(d.add_edge_attrs, out);
-      EncodeAttrEntriesV0(d.del_edge_attrs, out);
-      break;
-    default:
-      break;
-  }
-}
-
-Status DecodeDeltaComponentV0(ComponentMask component, const Slice& blob, Delta* out) {
-  Slice in = blob;
-  switch (component) {
-    case kCompStruct:
-      HG_RETURN_NOT_OK(DecodeNodeIdsV0(&in, &out->add_nodes));
-      HG_RETURN_NOT_OK(DecodeNodeIdsV0(&in, &out->del_nodes));
-      HG_RETURN_NOT_OK(DecodeEdgesV0(&in, &out->add_edges));
-      HG_RETURN_NOT_OK(DecodeEdgesV0(&in, &out->del_edges));
-      break;
-    case kCompNodeAttr:
-      HG_RETURN_NOT_OK(DecodeAttrEntriesV0(&in, &out->add_node_attrs));
-      HG_RETURN_NOT_OK(DecodeAttrEntriesV0(&in, &out->del_node_attrs));
-      break;
-    case kCompEdgeAttr:
-      HG_RETURN_NOT_OK(DecodeAttrEntriesV0(&in, &out->add_edge_attrs));
-      HG_RETURN_NOT_OK(DecodeAttrEntriesV0(&in, &out->del_edge_attrs));
-      break;
-    default:
-      return Status::InvalidArgument("delta: unknown component");
-  }
-  if (!in.empty()) return Status::Corruption("delta component: trailing bytes");
-  return Status::OK();
 }
 
 }  // namespace codec

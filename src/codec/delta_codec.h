@@ -13,21 +13,15 @@ class Delta;
 
 namespace codec {
 
-/// Serializes one component of `d` in the current (v1, columnar) format:
-/// header, then per-column blocks — ids varint-delta-encoded, attribute
-/// key/value ids resolved through a per-blob string dictionary.
+/// Serializes one component of `d` as a columnar blob: header
+/// (kDeltaVersion), then per-column blocks — ids varint-delta-encoded,
+/// attribute key/value ids resolved through a per-blob string dictionary.
 void EncodeDeltaComponent(const Delta& d, ComponentMask component, std::string* out);
 
 /// Decodes a component blob into `out`, replacing that component's vectors.
-/// The version is detected per blob: v1+ blobs carry the magic header;
-/// anything else is parsed as the legacy v0 row format, so indexes persisted
-/// before the codec existed still open.
+/// A blob without the magic header is Corruption; one with a version other
+/// than kDeltaVersion is InvalidArgument.
 Status DecodeDeltaComponent(ComponentMask component, const Slice& blob, Delta* out);
-
-/// Legacy v0 row-format writer/reader. The writer exists only for tests (the
-/// backward-compat fixtures); production code always writes v1.
-void EncodeDeltaComponentV0(const Delta& d, ComponentMask component, std::string* out);
-Status DecodeDeltaComponentV0(ComponentMask component, const Slice& blob, Delta* out);
 
 }  // namespace codec
 }  // namespace hgdb

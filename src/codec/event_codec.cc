@@ -37,7 +37,7 @@ bool HasOptionals(EventType t) {
   return t == EventType::kNodeAttr || t == EventType::kEdgeAttr;
 }
 
-// v2 id columns (ROADMAP 5c). Node/edge/src/dst ids are written rebased
+// Id columns. Node/edge/src/dst ids are written rebased
 // against their column's minimum *valid* id, and the invalid-id sentinel
 // (all-ones, shared by kInvalidNodeId and kInvalidEdgeId) maps to 0:
 //
@@ -74,11 +74,12 @@ Status GetRebasedIds(Slice* in, std::vector<uint64_t>* col, const char* what) {
   return Status::OK();
 }
 
-Status DecodeVersioned(const Slice& blob, std::vector<SeqEvent>* out) {
+}  // namespace
+
+Status DecodeEventListComponent(const Slice& blob, std::vector<SeqEvent>* out) {
   BlockReader reader;
   std::unordered_map<uint8_t, Slice> blocks;
-  uint8_t version = 0;
-  HG_RETURN_NOT_OK(ReadBlocks(blob, &reader, &blocks, &version));
+  HG_RETURN_NOT_OK(ReadBlocks(blob, kEventListVersion, &reader, &blocks));
   auto block = [&](uint8_t tag, Slice* payload) {
     auto it = blocks.find(tag);
     if (it == blocks.end()) return false;
@@ -138,17 +139,10 @@ Status DecodeVersioned(const Slice& blob, std::vector<SeqEvent>* out) {
     return Status::Corruption("eventlist: missing id columns");
   }
   if (want_ids) {
-    if (version >= kVersion2) {
-      HG_RETURN_NOT_OK(GetRebasedIds(&ids, &node_col, "event node"));
-      HG_RETURN_NOT_OK(GetRebasedIds(&ids, &edge_col, "event edge"));
-      HG_RETURN_NOT_OK(GetRebasedIds(&ids, &src_col, "event src"));
-      HG_RETURN_NOT_OK(GetRebasedIds(&ids, &dst_col, "event dst"));
-    } else {  // v1: absolute varints.
-      for (auto& v : node_col) HG_RETURN_NOT_OK(ExpectVarint64(&ids, &v, "event node"));
-      for (auto& v : edge_col) HG_RETURN_NOT_OK(ExpectVarint64(&ids, &v, "event edge"));
-      for (auto& v : src_col) HG_RETURN_NOT_OK(ExpectVarint64(&ids, &v, "event src"));
-      for (auto& v : dst_col) HG_RETURN_NOT_OK(ExpectVarint64(&ids, &v, "event dst"));
-    }
+    HG_RETURN_NOT_OK(GetRebasedIds(&ids, &node_col, "event node"));
+    HG_RETURN_NOT_OK(GetRebasedIds(&ids, &edge_col, "event edge"));
+    HG_RETURN_NOT_OK(GetRebasedIds(&ids, &src_col, "event src"));
+    HG_RETURN_NOT_OK(GetRebasedIds(&ids, &dst_col, "event dst"));
     HG_RETURN_NOT_OK(GetBitmap(&ids, directed_n, &directed_col, "event directed"));
     if (!ids.empty()) return Status::Corruption("eventlist ids: trailing bytes");
   }
@@ -221,12 +215,10 @@ Status DecodeVersioned(const Slice& blob, std::vector<SeqEvent>* out) {
   return Status::OK();
 }
 
-}  // namespace
-
 void EncodeEventListComponent(const std::vector<Event>& events, ComponentMask mask,
                               std::string* out) {
   out->clear();
-  PutHeader(out, kVersion2);  // v2: rebased id columns (see PutRebasedIds).
+  PutHeader(out, kEventListVersion);
   std::vector<uint32_t> selected;
   selected.reserve(events.size());
   for (uint32_t i = 0; i < events.size(); ++i) {
@@ -304,45 +296,6 @@ void EncodeEventListComponent(const std::vector<Event>& events, ComponentMask ma
     AppendBlock(kBlockDict, dict_payload, out);
     AppendBlock(kBlockEventAttrs, attrs, out);
   }
-}
-
-Status DecodeEventListComponent(const Slice& blob, std::vector<SeqEvent>* out) {
-  if (HasHeader(blob)) return DecodeVersioned(blob, out);
-  return DecodeEventListComponentV0(blob, out);
-}
-
-void EncodeEventListComponentV0(const std::vector<Event>& events, ComponentMask mask,
-                                std::string* out) {
-  out->clear();
-  size_t count = 0;
-  for (const auto& e : events) {
-    if (e.component() & mask) ++count;
-  }
-  PutVarint64(out, count);
-  for (size_t i = 0; i < events.size(); ++i) {
-    if ((events[i].component() & mask) == 0) continue;
-    PutVarint64(out, i);  // Sequence number within the full list.
-    events[i].EncodeTo(out);
-  }
-}
-
-Status DecodeEventListComponentV0(const Slice& blob, std::vector<SeqEvent>* out) {
-  Slice in = blob;
-  uint64_t count = 0;
-  HG_RETURN_NOT_OK(ExpectVarint64(&in, &count, "eventlist component count"));
-  if (count > in.size()) {
-    return Status::Corruption("eventlist component count exceeds blob");
-  }
-  out->reserve(out->size() + static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t seq = 0;
-    HG_RETURN_NOT_OK(ExpectVarint64(&in, &seq, "eventlist seq"));
-    Event e;
-    HG_RETURN_NOT_OK(Event::DecodeFrom(&in, &e));
-    out->push_back(SeqEvent{seq, std::move(e)});
-  }
-  if (!in.empty()) return Status::Corruption("eventlist component: trailing bytes");
-  return Status::OK();
 }
 
 }  // namespace codec

@@ -19,22 +19,18 @@ struct SeqEvent {
   Event event;
 };
 
-/// Serializes the events of `events` whose component intersects `mask` in the
-/// current (v1, columnar) format: header, then a per-blob string dictionary
-/// and SoA columns — sequence numbers and timestamps delta-encoded, op kinds
+/// Serializes the events of `events` whose component intersects `mask` as a
+/// columnar blob: header (kEventListVersion), then a per-blob string
+/// dictionary and SoA columns — sequence numbers and timestamps delta-encoded, op kinds
 /// one byte each, ids/endpoints as varint columns, attribute keys and values
 /// as dictionary indexes.
 void EncodeEventListComponent(const std::vector<Event>& events, ComponentMask mask,
                               std::string* out);
 
-/// Decodes a component blob, appending (seq, event) pairs to `out`. The
-/// version is detected per blob (magic header => v1+, otherwise legacy v0).
+/// Decodes a component blob, appending (seq, event) pairs to `out`. A blob
+/// without the magic header is Corruption; one with a version other than
+/// kEventListVersion is InvalidArgument.
 Status DecodeEventListComponent(const Slice& blob, std::vector<SeqEvent>* out);
-
-/// Legacy v0 row-format writer/reader (writer kept for compat fixtures only).
-void EncodeEventListComponentV0(const std::vector<Event>& events, ComponentMask mask,
-                                std::string* out);
-Status DecodeEventListComponentV0(const Slice& blob, std::vector<SeqEvent>* out);
 
 }  // namespace codec
 }  // namespace hgdb

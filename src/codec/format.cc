@@ -10,20 +10,16 @@ void PutHeader(std::string* out, uint8_t version) {
   out->push_back(static_cast<char>(version));
 }
 
-bool HasHeader(const Slice& blob) {
-  return blob.size() >= sizeof(kMagic) + 1 &&
-         std::memcmp(blob.data(), kMagic, sizeof(kMagic)) == 0;
-}
-
-Status ParseHeader(Slice* in, uint8_t* version) {
+Status ParseHeader(Slice* in, uint8_t version) {
   if (in->size() < sizeof(kMagic) + 1) return Status::Corruption("codec: truncated header");
   if (std::memcmp(in->data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("codec: bad magic");
   }
-  *version = static_cast<uint8_t>((*in)[sizeof(kMagic)]);
-  if (*version == 0 || *version > kMaxSupportedVersion) {
-    return Status::InvalidArgument("codec: blob written by unsupported format version " +
-                                   std::to_string(*version));
+  const auto found = static_cast<uint8_t>((*in)[sizeof(kMagic)]);
+  if (found != version) {
+    return Status::InvalidArgument("codec: blob has format version " +
+                                   std::to_string(found) + "; this build reads only " +
+                                   std::to_string(version));
   }
   in->RemovePrefix(sizeof(kMagic) + 1);
   return Status::OK();
@@ -83,12 +79,10 @@ Status BlockReader::Next(uint8_t* tag, Slice* payload, bool* done) {
   return Status::OK();
 }
 
-Status ReadBlocks(const Slice& blob, BlockReader* reader,
-                  std::unordered_map<uint8_t, Slice>* blocks, uint8_t* version_out) {
+Status ReadBlocks(const Slice& blob, uint8_t version, BlockReader* reader,
+                  std::unordered_map<uint8_t, Slice>* blocks) {
   Slice in = blob;
-  uint8_t version = 0;
-  HG_RETURN_NOT_OK(ParseHeader(&in, &version));
-  if (version_out != nullptr) *version_out = version;
+  HG_RETURN_NOT_OK(ParseHeader(&in, version));
   *reader = BlockReader(in);
   for (;;) {
     uint8_t tag = 0;

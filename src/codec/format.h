@@ -16,33 +16,35 @@
 namespace hgdb {
 namespace codec {
 
-/// \brief Versioned columnar block format for delta / eventlist blobs.
+/// \brief Versioned columnar block format for delta / eventlist / skeleton
+/// blobs.
 ///
-/// Every v1 blob starts with a 4-byte header (3 magic bytes + version), then
-/// a sequence of framed column blocks:
+/// Every blob starts with a 4-byte header (3 magic bytes + version), then a
+/// sequence of framed column blocks:
 ///
 ///   [tag|flags : 1][varint stored_len][payload : stored_len]
 ///
 /// The low 7 tag bits identify the column block; the high bit marks an
 /// LZ-compressed payload (prefixed by a varint uncompressed length). Readers
-/// skip blocks with unknown tags by their length, which is what makes the
-/// format evolvable: a future version can add columns without breaking this
-/// reader, and this reader rejects blobs whose *header* version it does not
-/// know. Blobs without the magic are the implicit legacy v0 row format and
-/// are routed to the v0 decoders (see README.md for the full spec).
+/// skip blocks with unknown tags by their length, so a later build can add
+/// columns without changing the version. Each blob kind has exactly one
+/// version this build writes and reads; a blob without the magic, or with
+/// another version byte, is rejected (see README.md for the full spec).
 
-/// Magic prefix of every versioned blob. Chosen with the top bit set in each
-/// byte so that a legacy v0 blob (which starts with a varint element count)
-/// would need a pathological multi-megabyte leading count to collide.
+/// Magic prefix of every blob.
 inline constexpr char kMagic[3] = {'\xd1', '\x47', '\xc5'};
-inline constexpr uint8_t kVersion1 = 1;
-/// v2 changes only the EventList id block (kBlockEventIds): id columns are
-/// rebased against per-column minima with invalid-id sentinels mapped to 0,
-/// so a sentinel costs one varint byte instead of ten (see event_codec.cc).
-/// Delta blobs are unchanged and still written at v1.
-inline constexpr uint8_t kVersion2 = 2;
-/// Newest version this build can decode.
-inline constexpr uint8_t kMaxSupportedVersion = kVersion2;
+/// Header version of delta component blobs.
+inline constexpr uint8_t kDeltaVersion = 1;
+/// Header version of eventlist component blobs. Version 2 rebased the id
+/// block (kBlockEventIds) against per-column minima with invalid-id sentinels
+/// mapped to 0, so a sentinel costs one varint byte instead of ten (see
+/// event_codec.cc).
+inline constexpr uint8_t kEventListVersion = 2;
+/// Header version of skeleton blobs.
+inline constexpr uint8_t kSkeletonVersion = 1;
+/// Index-level format recorded under the `m/format` meta key. `Open`
+/// accepts exactly this value.
+inline constexpr unsigned kIndexFormat = 2;
 
 /// Column block tags (low 7 bits of the frame's first byte).
 enum BlockTag : uint8_t {
@@ -69,18 +71,16 @@ inline constexpr uint8_t kBlockCompressedBit = 0x80;
 inline constexpr size_t kCompressMinBytes = 64;
 
 /// Appends the header (magic + version byte).
-void PutHeader(std::string* out, uint8_t version = kVersion1);
+void PutHeader(std::string* out, uint8_t version);
 
-/// True if `blob` carries the v1+ magic (false => legacy v0 blob).
-bool HasHeader(const Slice& blob);
-
-/// Consumes the header, rejecting unknown (newer) versions.
-Status ParseHeader(Slice* in, uint8_t* version);
+/// Consumes the header. A missing magic is Corruption; a version byte other
+/// than `version` is InvalidArgument.
+Status ParseHeader(Slice* in, uint8_t version);
 
 /// Appends one framed block, compressing the payload when profitable.
 void AppendBlock(uint8_t tag, const Slice& payload, std::string* out);
 
-/// \brief Iterates the framed blocks of a v1 blob body (post-header).
+/// \brief Iterates the framed blocks of a blob body (post-header).
 ///
 /// Decompressed payloads are owned by the reader; returned slices stay valid
 /// for the reader's lifetime. Unknown tags are returned to the caller, which
@@ -101,14 +101,12 @@ class BlockReader {
   std::deque<std::string> scratch_;
 };
 
-/// Reads every block of `blob` (header included) into a tag -> payload map.
-/// Duplicate tags are corruption. The reader owning decompressed payloads is
-/// `*reader`, which must outlive any use of the returned slices. The blob's
-/// header version is reported through `version` when non-null (decoders
-/// branch on it for version-dependent column layouts).
-Status ReadBlocks(const Slice& blob, BlockReader* reader,
-                  std::unordered_map<uint8_t, Slice>* blocks,
-                  uint8_t* version = nullptr);
+/// Parses the header of `blob` against `version` (see ParseHeader) and reads
+/// every block into a tag -> payload map. Duplicate tags are corruption. The
+/// reader owning decompressed payloads is `*reader`, which must outlive any
+/// use of the returned slices.
+Status ReadBlocks(const Slice& blob, uint8_t version, BlockReader* reader,
+                  std::unordered_map<uint8_t, Slice>* blocks);
 
 // -- Per-blob string dictionary ----------------------------------------------
 //

@@ -1,7 +1,6 @@
 #include "deltagraph/delta_graph.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -92,19 +91,19 @@ Result<std::unique_ptr<DeltaGraph>> DeltaGraph::Create(KVStore* store,
 Result<std::unique_ptr<DeltaGraph>> DeltaGraph::Open(KVStore* store) {
   DeltaStore ds(store);
   std::string blob;
-  // Index-level format gate: a missing "format" meta is a pre-codec (v0)
-  // index, which still opens (every blob decoder auto-detects per blob); a
-  // version newer than this build can decode is rejected up front instead of
-  // failing blob-by-blob later.
+  // Index-level format gate: this build opens exactly the format it writes.
+  // Anything else, including an index with no "format" meta, is rejected up
+  // front instead of failing blob-by-blob later.
+  const std::string want = std::to_string(codec::kIndexFormat);
   Status format_status = ds.GetMeta("format", &blob);
-  if (format_status.ok()) {
-    const unsigned version = static_cast<unsigned>(std::strtoul(blob.c_str(), nullptr, 10));
-    if (version == 0 || version > codec::kMaxSupportedVersion) {
-      return Status::InvalidArgument("index written by unsupported format version: " +
-                                     blob);
-    }
-  } else if (!format_status.IsNotFound()) {
-    return format_status;
+  if (format_status.IsNotFound()) {
+    return Status::InvalidArgument("index has no format version; this build opens only format " +
+                                   want);
+  }
+  HG_RETURN_NOT_OK(format_status);
+  if (blob != want) {
+    return Status::InvalidArgument("index has format version " + blob +
+                                   "; this build opens only format " + want);
   }
   HG_RETURN_NOT_OK(ds.GetMeta("options", &blob));
   DeltaGraphOptions options;
@@ -504,7 +503,7 @@ Status DeltaGraph::AttachSuperRoot(const Pending& pending_root) {
   // Skip if this node is already attached.
   for (int32_t eid : skeleton_.incident_edges(skeleton_.super_root())) {
     const SkeletonEdge& e = skeleton_.edge(eid);
-    if (!e.deleted && e.to == pending_root.node_id) return Status::OK();
+    if (e.to == pending_root.node_id) return Status::OK();
   }
   Snapshot empty;
   Delta d = Delta::Between(*pending_root.graph, empty);
@@ -582,11 +581,8 @@ Status DeltaGraph::Finalize() {
 Status DeltaGraph::PersistMeta() {
   HG_RETURN_NOT_OK(store_.PutSkeleton(skeleton_));
   // Index-level format version (the blob-level version rides in each blob's
-  // codec header; see src/codec/README.md). Absent on pre-codec indexes.
-  // Written as the newest version this build emits, so older builds that
-  // cannot decode it refuse the whole index up front.
-  HG_RETURN_NOT_OK(store_.PutMeta(
-      "format", std::to_string(static_cast<unsigned>(codec::kMaxSupportedVersion))));
+  // codec header; see src/codec/README.md). Open accepts only this value.
+  HG_RETURN_NOT_OK(store_.PutMeta("format", std::to_string(codec::kIndexFormat)));
   HG_RETURN_NOT_OK(store_.PutMeta("options", options_.Encode()));
   std::string counters;
   PutVarint64(&counters, store_.next_id());
@@ -611,7 +607,7 @@ std::vector<int32_t> DeltaGraph::NodesAtDepth(int depth) const {
   if (sr < 0) return frontier;
   for (int32_t eid : skeleton_.incident_edges(sr)) {
     const SkeletonEdge& e = skeleton_.edge(eid);
-    if (!e.deleted && !e.is_eventlist && e.from == sr) frontier.push_back(e.to);
+    if (!e.is_eventlist && e.from == sr) frontier.push_back(e.to);
   }
   for (int d = 0; d < depth; ++d) {
     std::vector<int32_t> next;
@@ -619,7 +615,7 @@ std::vector<int32_t> DeltaGraph::NodesAtDepth(int depth) const {
       bool has_children = false;
       for (int32_t eid : skeleton_.incident_edges(node)) {
         const SkeletonEdge& e = skeleton_.edge(eid);
-        if (!e.deleted && !e.is_eventlist && e.from == node) {
+        if (!e.is_eventlist && e.from == node) {
           next.push_back(e.to);
           has_children = true;
         }
@@ -741,6 +737,7 @@ DeltaGraphStats DeltaGraph::Stats() const {
   DeltaGraphStats stats;
   stats.leaf_count = skeleton_.leaves().size();
   stats.node_count = skeleton_.node_count();
+  stats.edge_count = skeleton_.edge_count();
   int max_level = 0;
   for (size_t i = 0; i < skeleton_.node_count(); ++i) {
     const auto& n = skeleton_.node(static_cast<int32_t>(i));
@@ -749,8 +746,6 @@ DeltaGraphStats DeltaGraph::Stats() const {
   stats.height = max_level;
   for (size_t i = 0; i < skeleton_.edge_count(); ++i) {
     const auto& e = skeleton_.edge(static_cast<int32_t>(i));
-    if (e.deleted) continue;
-    ++stats.edge_count;
     if (e.is_eventlist) {
       stats.eventlist_bytes += e.sizes.TotalBytes(kCompAllWithTransient);
     } else {

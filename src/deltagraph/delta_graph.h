@@ -61,7 +61,7 @@ struct DeltaGraphOptions {
 struct DeltaGraphStats {
   size_t leaf_count = 0;
   size_t node_count = 0;        ///< Skeleton nodes (incl. super-root).
-  size_t edge_count = 0;        ///< Live skeleton edges.
+  size_t edge_count = 0;        ///< Skeleton edges.
   int height = 0;               ///< Levels incl. leaves, excl. super-root.
   uint64_t delta_bytes = 0;     ///< Serialized delta bytes (interior + root).
   uint64_t eventlist_bytes = 0; ///< Serialized leaf-eventlist bytes.
@@ -182,10 +182,6 @@ class DeltaGraph {
     /// requested time was never emitted.
     Result<std::vector<Snapshot>> TakeInOrder(const std::vector<Timestamp>& times);
   };
-
-  /// Exposes the plan the index would execute (benchmarks, tests, EXPLAIN).
-  Result<Plan> PlanFor(const std::vector<Timestamp>& times,
-                       unsigned components = kCompAll) const;
 
   /// Collects all events with ts <= time < te, including transient events if
   /// requested (backs GetHistGraphInterval).

@@ -208,7 +208,6 @@ void Planner::AddBaseGraph(AugGraph* g, unsigned components) const {
   // Skeleton edges.
   for (size_t i = 0; i < skel.edge_count(); ++i) {
     const SkeletonEdge& e = skel.edge(static_cast<int32_t>(i));
-    if (e.deleted) continue;
     PlanStep step;
     step.edge = e.id;
     step.forward = true;

@@ -103,7 +103,7 @@ class Planner {
   struct AugGraph;  // The augmented search graph; defined in planner.cc.
 
  private:
-  /// Fills `g` with the skeleton's nodes and live edges plus the
+  /// Fills `g` with the skeleton's nodes and edges plus the
   /// materialized-node loads off the super-root; sets the origin.
   void AddBaseGraph(AugGraph* g, unsigned components) const;
   /// Weight of the super-root -> current graph load.

@@ -118,12 +118,6 @@ Result<std::vector<Snapshot>> DeltaGraph::SnapshotPlanResults::TakeInOrder(
 // Public retrieval API
 // ---------------------------------------------------------------------------
 
-Result<Plan> DeltaGraph::PlanFor(const std::vector<Timestamp>& times,
-                                 unsigned components) const {
-  Planner planner(MakePlannerContext());
-  return planner.PlanSnapshots(times, components);
-}
-
 Result<Plan> DeltaGraph::PlanForAt(const FrontierPtr& frontier,
                                    const std::vector<Timestamp>& times,
                                    unsigned components) const {

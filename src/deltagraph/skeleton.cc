@@ -33,18 +33,6 @@ int32_t Skeleton::AddEdge(SkeletonEdge edge) {
   return edge.id;
 }
 
-void Skeleton::RemoveEdge(int32_t edge_id) {
-  ++version_;
-  SkeletonEdge& e = edges_[edge_id];
-  if (e.deleted) return;
-  e.deleted = true;
-  auto drop = [edge_id](std::vector<int32_t>* v) {
-    v->erase(std::remove(v->begin(), v->end(), edge_id), v->end());
-  };
-  drop(&incident_[e.from]);
-  drop(&incident_[e.to]);
-}
-
 int Skeleton::FindLeafInterval(Timestamp t) const {
   if (leaves_.empty()) return -1;
   // Find the last leaf with boundary_time < t; the interval to its right
@@ -81,9 +69,7 @@ std::vector<int32_t> Skeleton::EventlistEdgesInOrder() const {
 
 uint64_t Skeleton::TotalBytes(unsigned components) const {
   uint64_t total = 0;
-  for (const auto& e : edges_) {
-    if (!e.deleted) total += e.sizes.TotalBytes(components);
-  }
+  for (const auto& e : edges_) total += e.sizes.TotalBytes(components);
   return total;
 }
 
@@ -91,12 +77,11 @@ uint64_t Skeleton::TotalBytes(unsigned components) const {
 // header + framed column blocks, each a PutDeltaVarints column so runs of
 // close values (levels, endpoints, monotone boundary times) encode as short
 // deltas and large columns ride the block compressor. Signed boundary times
-// are zigzagged into the unsigned column. Blobs written before this format
-// (the pre-codec v0 row layout, a bare varint version 1) are still decoded
-// by the legacy path below.
+// are zigzagged into the unsigned column. An edge's flags are 1 (eventlist)
+// or 0; decode rejects any other bit.
 void Skeleton::EncodeTo(std::string* out) const {
   out->clear();
-  codec::PutHeader(out, codec::kVersion1);
+  codec::PutHeader(out, codec::kSkeletonVersion);
 
   const auto zigzag = [](int64_t v) {
     return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
@@ -130,9 +115,7 @@ void Skeleton::EncodeTo(std::string* out) const {
     codec::PutDeltaVarints(col, &payload);
     for (size_t i = 0; i < edges_.size(); ++i) col[i] = static_cast<uint32_t>(edges_[i].to);
     codec::PutDeltaVarints(col, &payload);
-    for (size_t i = 0; i < edges_.size(); ++i) {
-      col[i] = (edges_[i].is_eventlist ? 1u : 0u) | (edges_[i].deleted ? 2u : 0u);
-    }
+    for (size_t i = 0; i < edges_.size(); ++i) col[i] = edges_[i].is_eventlist ? 1u : 0u;
     codec::PutDeltaVarints(col, &payload);
     for (size_t i = 0; i < edges_.size(); ++i) col[i] = edges_[i].delta_id;
     codec::PutDeltaVarints(col, &payload);
@@ -165,10 +148,13 @@ Status GetColumn(Slice* in, size_t count, std::vector<uint64_t>* col,
   return Status::OK();
 }
 
-Status DecodeColumnar(const Slice& blob, Skeleton* out) {
+}  // namespace
+
+Status Skeleton::DecodeFrom(const Slice& blob, Skeleton* out) {
+  *out = Skeleton();
   codec::BlockReader reader;
   std::unordered_map<uint8_t, Slice> blocks;
-  HG_RETURN_NOT_OK(codec::ReadBlocks(blob, &reader, &blocks));
+  HG_RETURN_NOT_OK(codec::ReadBlocks(blob, codec::kSkeletonVersion, &reader, &blocks));
   const auto unzigzag = [](uint64_t v) {
     return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
   };
@@ -224,6 +210,7 @@ Status DecodeColumnar(const Slice& blob, Skeleton* out) {
       if (from[i] >= node_count || to[i] >= node_count) {
         return Status::Corruption("skeleton: edge endpoint out of range");
       }
+      if (flags[i] & ~uint64_t{1}) return Status::Corruption("skeleton: bad edge flags");
       e.from = static_cast<int32_t>(from[i]);
       e.to = static_cast<int32_t>(to[i]);
       e.is_eventlist = flags[i] & 1;
@@ -232,8 +219,7 @@ Status DecodeColumnar(const Slice& blob, Skeleton* out) {
         e.sizes.bytes[c] = bytes[c][i];
         e.sizes.elements[c] = elements[c][i];
       }
-      const int32_t id = out->AddEdge(e);
-      if (flags[i] & 2) out->RemoveEdge(id);
+      out->AddEdge(e);
     }
   }
 
@@ -250,73 +236,6 @@ Status DecodeColumnar(const Slice& blob, Skeleton* out) {
     }
     out->SetSuperRoot(static_cast<int32_t>(super_root_plus1) - 1);
   }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status Skeleton::DecodeFrom(const Slice& blob, Skeleton* out) {
-  *out = Skeleton();
-  if (codec::HasHeader(blob)) return DecodeColumnar(blob, out);
-  // Legacy pre-codec v0 row layout (bare varint version tag).
-  Slice in = blob;
-  uint32_t version = 0;
-  if (!GetVarint32(&in, &version) || version != 1) {
-    return Status::Corruption("skeleton: bad version");
-  }
-  uint64_t node_count = 0;
-  HG_RETURN_NOT_OK(ExpectVarint64(&in, &node_count, "skeleton node count"));
-  for (uint64_t i = 0; i < node_count; ++i) {
-    SkeletonNode n;
-    uint32_t level = 0, hierarchy = 0;
-    if (!GetVarint32(&in, &level)) return Status::Corruption("skeleton node level");
-    if (in.empty()) return Status::Corruption("skeleton node flags");
-    const unsigned char flags = static_cast<unsigned char>(in[0]);
-    in.RemovePrefix(1);
-    if (!GetVarint32(&in, &hierarchy)) return Status::Corruption("skeleton hierarchy");
-    if (!GetVarsint64(&in, &n.boundary_time)) {
-      return Status::Corruption("skeleton node time");
-    }
-    HG_RETURN_NOT_OK(ExpectVarint64(&in, &n.element_count, "skeleton node size"));
-    n.level = static_cast<int32_t>(level);
-    n.hierarchy = static_cast<int32_t>(hierarchy);
-    n.is_leaf = flags & 1;
-    n.is_super_root = flags & 2;
-    n.materialized = false;  // Materialization is a runtime property.
-    out->AddNode(n);
-  }
-  uint64_t edge_count = 0;
-  HG_RETURN_NOT_OK(ExpectVarint64(&in, &edge_count, "skeleton edge count"));
-  for (uint64_t i = 0; i < edge_count; ++i) {
-    SkeletonEdge e;
-    uint32_t from = 0, to = 0;
-    if (!GetVarint32(&in, &from) || !GetVarint32(&in, &to)) {
-      return Status::Corruption("skeleton edge endpoints");
-    }
-    if (in.empty()) return Status::Corruption("skeleton edge flags");
-    const unsigned char flags = static_cast<unsigned char>(in[0]);
-    in.RemovePrefix(1);
-    e.from = static_cast<int32_t>(from);
-    e.to = static_cast<int32_t>(to);
-    e.is_eventlist = flags & 1;
-    const bool deleted = flags & 2;
-    HG_RETURN_NOT_OK(ExpectVarint64(&in, &e.delta_id, "skeleton delta id"));
-    for (int c = 0; c < kNumComponents; ++c) {
-      HG_RETURN_NOT_OK(ExpectVarint64(&in, &e.sizes.bytes[c], "skeleton edge bytes"));
-    }
-    for (int c = 0; c < kNumComponents; ++c) {
-      HG_RETURN_NOT_OK(
-          ExpectVarint64(&in, &e.sizes.elements[c], "skeleton edge elements"));
-    }
-    const int32_t id = out->AddEdge(e);
-    if (deleted) out->RemoveEdge(id);
-  }
-  uint32_t super_root_plus1 = 0;
-  if (!GetVarint32(&in, &super_root_plus1)) {
-    return Status::Corruption("skeleton super root");
-  }
-  out->super_root_ = static_cast<int32_t>(super_root_plus1) - 1;
-  if (!in.empty()) return Status::Corruption("skeleton: trailing bytes");
   return Status::OK();
 }
 

@@ -65,7 +65,6 @@ struct SkeletonEdge {
   bool is_eventlist = false;
   DeltaId delta_id = 0;  ///< Key of the stored delta/eventlist blobs.
   ComponentSizes sizes;
-  bool deleted = false;  ///< Soft-deleted (index evolution keeps ids stable).
 };
 
 /// \brief The DeltaGraph skeleton: the structure of the index without the
@@ -81,7 +80,6 @@ class Skeleton {
   // -- Construction ----------------------------------------------------------
   int32_t AddNode(SkeletonNode node);  ///< Assigns and returns the node id.
   int32_t AddEdge(SkeletonEdge edge);  ///< Assigns and returns the edge id.
-  void RemoveEdge(int32_t edge_id);    ///< Soft delete.
 
   void SetSuperRoot(int32_t node_id) { super_root_ = node_id; }
   int32_t super_root() const { return super_root_; }
@@ -103,15 +101,15 @@ class Skeleton {
     return &edges_[id];
   }
 
-  /// Monotone change counter: bumped by any mutation (new nodes/edges, soft
-  /// deletes, materialization flags). Planner caches key on it so cached
+  /// Monotone change counter: bumped by any mutation (new nodes/edges,
+  /// node/edge edits, materialization flags). Planner caches key on it so cached
   /// shortest-path trees are dropped exactly when the skeleton changes.
   uint64_t version() const { return version_; }
   size_t node_count() const { return nodes_.size(); }
   size_t edge_count() const { return edges_.size(); }
 
-  /// Ids of live (non-deleted) edges incident to `node_id` (both directions;
-  /// the index is undirected for traversal purposes).
+  /// Ids of the edges incident to `node_id` (both directions; the index is
+  /// undirected for traversal purposes).
   const std::vector<int32_t>& incident_edges(int32_t node_id) const {
     return incident_[node_id];
   }
@@ -130,10 +128,10 @@ class Skeleton {
   /// (by node id), or -1.
   int32_t FindEventlistEdge(int32_t left_leaf, int32_t right_leaf) const;
 
-  /// All live eventlist edges in chronological order.
+  /// All eventlist edges in chronological order.
   std::vector<int32_t> EventlistEdgesInOrder() const;
 
-  /// Sum of stored bytes across live edges (index disk footprint, modulo
+  /// Sum of stored bytes across all edges (index disk footprint, modulo
   /// store-level compression).
   uint64_t TotalBytes(unsigned components = kCompAllWithTransient) const;
 

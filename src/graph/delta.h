@@ -73,8 +73,8 @@ class Delta {
   /// src/codec/; the blob carries a magic + version header).
   void EncodeComponent(ComponentMask component, std::string* out) const;
 
-  /// Decodes a component blob produced by EncodeComponent — any supported
-  /// format version, including headerless legacy v0 blobs — into this delta.
+  /// Decodes a component blob produced by EncodeComponent into this delta. A
+  /// blob in any other format (no header, another version) is rejected.
   Status DecodeComponent(ComponentMask component, const Slice& blob);
 
   /// Sorts element vectors into canonical order (by id / owner + key string +

@@ -105,141 +105,6 @@ ComponentMask Event::component() const {
   return kCompStruct;
 }
 
-namespace {
-
-void PutOptionalString(std::string* dst, const std::optional<std::string>& v) {
-  if (v.has_value()) {
-    dst->push_back(1);
-    PutLengthPrefixedSlice(dst, Slice(*v));
-  } else {
-    dst->push_back(0);
-  }
-}
-
-Status GetOptionalString(Slice* input, std::optional<std::string>* v) {
-  if (input->empty()) return Status::Corruption("event: truncated optional");
-  const char present = (*input)[0];
-  input->RemovePrefix(1);
-  if (present == 0) {
-    v->reset();
-    return Status::OK();
-  }
-  std::string s;
-  HG_RETURN_NOT_OK(ExpectLengthPrefixedString(input, &s, "event optional string"));
-  *v = std::move(s);
-  return Status::OK();
-}
-
-}  // namespace
-
-void Event::EncodeTo(std::string* out) const {
-  out->push_back(static_cast<char>(type));
-  PutVarsint64(out, time);
-  switch (type) {
-    case EventType::kAddNode:
-    case EventType::kDeleteNode:
-      PutVarint64(out, node);
-      break;
-    case EventType::kAddEdge:
-    case EventType::kDeleteEdge:
-      PutVarint64(out, edge);
-      PutVarint64(out, src);
-      PutVarint64(out, dst);
-      out->push_back(directed ? 1 : 0);
-      break;
-    case EventType::kNodeAttr:
-      PutVarint64(out, node);
-      PutLengthPrefixedSlice(out, Slice(key));
-      PutOptionalString(out, old_value);
-      PutOptionalString(out, new_value);
-      break;
-    case EventType::kEdgeAttr:
-      PutVarint64(out, edge);
-      // Endpoints ride along so partitioned indexes can co-locate the event
-      // with its edge (the paper routes every event by its node ids).
-      PutVarint64(out, src);
-      PutVarint64(out, dst);
-      PutLengthPrefixedSlice(out, Slice(key));
-      PutOptionalString(out, old_value);
-      PutOptionalString(out, new_value);
-      break;
-    case EventType::kTransientEdge:
-      PutVarint64(out, src);
-      PutVarint64(out, dst);
-      PutLengthPrefixedSlice(out, Slice(key));
-      break;
-    case EventType::kTransientNode:
-      PutVarint64(out, node);
-      PutLengthPrefixedSlice(out, Slice(key));
-      break;
-  }
-}
-
-Status Event::DecodeFrom(Slice* input, Event* out) {
-  if (input->empty()) return Status::Corruption("event: empty input");
-  const auto type = static_cast<EventType>((*input)[0]);
-  if (static_cast<unsigned>(type) > static_cast<unsigned>(EventType::kTransientNode)) {
-    return Status::Corruption("event: bad type byte");
-  }
-  input->RemovePrefix(1);
-  Event e;
-  e.type = type;
-  if (!GetVarsint64(input, &e.time)) return Status::Corruption("event: truncated time");
-  uint64_t v = 0;
-  switch (type) {
-    case EventType::kAddNode:
-    case EventType::kDeleteNode:
-      HG_RETURN_NOT_OK(ExpectVarint64(input, &v, "event node"));
-      e.node = v;
-      break;
-    case EventType::kAddEdge:
-    case EventType::kDeleteEdge: {
-      HG_RETURN_NOT_OK(ExpectVarint64(input, &v, "event edge"));
-      e.edge = v;
-      HG_RETURN_NOT_OK(ExpectVarint64(input, &v, "event src"));
-      e.src = v;
-      HG_RETURN_NOT_OK(ExpectVarint64(input, &v, "event dst"));
-      e.dst = v;
-      if (input->empty()) return Status::Corruption("event: truncated directed flag");
-      e.directed = (*input)[0] != 0;
-      input->RemovePrefix(1);
-      break;
-    }
-    case EventType::kNodeAttr:
-      HG_RETURN_NOT_OK(ExpectVarint64(input, &v, "event node"));
-      e.node = v;
-      HG_RETURN_NOT_OK(ExpectLengthPrefixedString(input, &e.key, "event attr key"));
-      HG_RETURN_NOT_OK(GetOptionalString(input, &e.old_value));
-      HG_RETURN_NOT_OK(GetOptionalString(input, &e.new_value));
-      break;
-    case EventType::kEdgeAttr:
-      HG_RETURN_NOT_OK(ExpectVarint64(input, &v, "event edge"));
-      e.edge = v;
-      HG_RETURN_NOT_OK(ExpectVarint64(input, &v, "event src"));
-      e.src = v;
-      HG_RETURN_NOT_OK(ExpectVarint64(input, &v, "event dst"));
-      e.dst = v;
-      HG_RETURN_NOT_OK(ExpectLengthPrefixedString(input, &e.key, "event attr key"));
-      HG_RETURN_NOT_OK(GetOptionalString(input, &e.old_value));
-      HG_RETURN_NOT_OK(GetOptionalString(input, &e.new_value));
-      break;
-    case EventType::kTransientEdge:
-      HG_RETURN_NOT_OK(ExpectVarint64(input, &v, "event src"));
-      e.src = v;
-      HG_RETURN_NOT_OK(ExpectVarint64(input, &v, "event dst"));
-      e.dst = v;
-      HG_RETURN_NOT_OK(ExpectLengthPrefixedString(input, &e.key, "event payload"));
-      break;
-    case EventType::kTransientNode:
-      HG_RETURN_NOT_OK(ExpectVarint64(input, &v, "event node"));
-      e.node = v;
-      HG_RETURN_NOT_OK(ExpectLengthPrefixedString(input, &e.key, "event payload"));
-      break;
-  }
-  *out = std::move(e);
-  return Status::OK();
-}
-
 std::string Event::ToString() const {
   std::ostringstream os;
   switch (type) {

@@ -90,12 +90,6 @@ struct Event {
     return type == EventType::kTransientEdge || type == EventType::kTransientNode;
   }
 
-  /// Serializes this event (without its sequence number) onto `dst`.
-  void EncodeTo(std::string* dst) const;
-
-  /// Decodes an event produced by EncodeTo.
-  static Status DecodeFrom(Slice* input, Event* out);
-
   /// Debug rendering, e.g. "{NE, N:23, N:4590, directed:no, t=1234}".
   std::string ToString() const;
 

@@ -168,7 +168,7 @@ TEST_F(ModelValidationTest, BalancedDeltaSizesTrackModel) {
   size_t count = 0;
   for (size_t i = 0; i < skel.edge_count(); ++i) {
     const auto& e = skel.edge(static_cast<int32_t>(i));
-    if (e.deleted || e.is_eventlist) continue;
+    if (e.is_eventlist) continue;
     const auto& from = skel.node(e.from);
     const auto& to = skel.node(e.to);
     if (from.level == 2 && to.is_leaf && !from.is_super_root) {
@@ -192,8 +192,7 @@ TEST_F(ModelValidationTest, IntersectionRootTracksSurvivalModel) {
   const auto& skel = dg_->skeleton();
   uint64_t root_elements = 0;
   for (int32_t eid : skel.incident_edges(skel.super_root())) {
-    const auto& e = skel.edge(eid);
-    if (!e.deleted) root_elements += e.sizes.TotalElements(kCompAll);
+    root_elements += skel.edge(eid).sizes.TotalElements(kCompAll);
   }
   // The churn deletes *edges* only, so the survival model applies to the
   // edge population; G0's nodes are never deleted and survive wholesale.

@@ -1,12 +1,14 @@
-// Tests for the versioned columnar blob codec (src/codec/): v1 round-trips
-// across component masks on seeded random data, backward compatibility with
-// checked-in legacy v0 blobs (byte-for-byte), version-header handling, and a
+// Tests for the versioned columnar blob codec (src/codec/): round-trips
+// across component masks on seeded random data, rejection of every format
+// this build does not write (headerless row-format blobs, other header
+// versions, unknown skeleton edge flags, other index formats), and a
 // fuzz-ish malformed-blob sweep (truncations and byte flips must yield a
 // Status, never a crash).
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "codec/delta_codec.h"
@@ -36,49 +38,39 @@ constexpr unsigned kEventSubsets[] = {
     kCompStruct | kCompNodeAttr, kCompStruct | kCompEdgeAttr,
     kCompAll,              kCompAllWithTransient};
 
+/// The 4-byte header every blob of a kind starts with.
+std::string Header(uint8_t version) {
+  std::string h;
+  codec::PutHeader(&h, version);
+  return h;
+}
+
 // ---------------------------------------------------------------------------
-// v0 backward-compat fixture: blobs captured byte-for-byte from the encoder
-// as it existed before the codec subsystem (PR 4 HEAD). These bytes are
-// frozen — regenerating them from current code would defeat the test.
+// Headerless blobs: row-format bytes that builds before the columnar codec
+// wrote for FixtureDelta() / FixtureEvents(). This build reads only headered
+// blobs, so each must be rejected as Corruption.
 // ---------------------------------------------------------------------------
 
-const char kV0DeltaStruct[] =
+const char kRowDeltaStruct[] =
     "\x02\x0c\x01\x01\x07\x01\x05\x0c\x0d\x00\x00";
-const size_t kV0DeltaStruct_len = 11;
+const size_t kRowDeltaStruct_len = 11;
 
-const char kV0DeltaNodeAttr[] =
+const char kRowDeltaNodeAttr[] =
     "\x02\x03\x05\x63\x6f\x6c\x6f\x72\x04\x62\x6c\x75\x65\x0c\x05\x63"
     "\x6f\x6c\x6f\x72\x03\x72\x65\x64\x01\x03\x05\x63\x6f\x6c\x6f\x72"
     "\x03\x72\x65\x64";
-const size_t kV0DeltaNodeAttr_len = 36;
+const size_t kRowDeltaNodeAttr_len = 36;
 
-const char kV0DeltaEdgeAttr[] =
-    "\x01\x05\x06\x77\x65\x69\x67\x68\x74\x02\x31\x31\x00";
-const size_t kV0DeltaEdgeAttr_len = 13;
-
-const char kV0EventsStruct[] =
+const char kRowEventsStruct[] =
     "\x04\x00\x00\xc8\x01\x01\x02\x00\xca\x01\x02\x03\x02\xcc\x01\x01"
     "\x01\x02\x01\x07\x03\xd4\x01\x01\x01\x02\x01";
-const size_t kV0EventsStruct_len = 27;
+const size_t kRowEventsStruct_len = 27;
 
-const char kV0EventsNodeAttr[] =
-    "\x02\x01\x04\xc8\x01\x01\x05\x63\x6f\x6c\x6f\x72\x00\x01\x03\x72"
-    "\x65\x64\x06\x04\xd2\x01\x01\x05\x63\x6f\x6c\x6f\x72\x01\x03\x72"
-    "\x65\x64\x01\x04\x62\x6c\x75\x65";
-const size_t kV0EventsNodeAttr_len = 40;
-
-const char kV0EventsEdgeAttr[] =
-    "\x01\x04\x05\xce\x01\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"
-    "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01\x06\x77\x65\x69\x67\x68"
-    "\x74\x00\x01\x01\x34";
-const size_t kV0EventsEdgeAttr_len = 37;
-
-const char kV0EventsTransient[] =
+const char kRowEventsTransient[] =
     "\x01\x05\x06\xd0\x01\x02\x01\x04\x70\x69\x6e\x67";
-const size_t kV0EventsTransient_len = 12;
+const size_t kRowEventsTransient_len = 12;
 
-/// The exact delta the kV0Delta* fixtures encode (same construction as the
-/// capture program).
+/// The delta the kRowDelta* bytes encode.
 Delta FixtureDelta() {
   Snapshot source, target;
   source.AddNode(3);
@@ -97,7 +89,7 @@ Delta FixtureDelta() {
   return Delta::Between(target, source);
 }
 
-/// The exact eventlist the kV0Events* fixtures encode.
+/// The eventlist the kRowEvents* bytes encode.
 EventList FixtureEvents() {
   EventList el;
   el.Append(Event::AddNode(100, 1));
@@ -111,93 +103,21 @@ EventList FixtureEvents() {
   return el;
 }
 
-TEST(V0CompatTest, CheckedInDeltaBlobsDecode) {
-  const Delta expected = FixtureDelta();
-  Delta decoded;
-  ASSERT_TRUE(decoded
-                  .DecodeComponent(kCompStruct,
-                                   Slice(kV0DeltaStruct, kV0DeltaStruct_len))
-                  .ok());
-  ASSERT_TRUE(decoded
-                  .DecodeComponent(kCompNodeAttr,
-                                   Slice(kV0DeltaNodeAttr, kV0DeltaNodeAttr_len))
-                  .ok());
-  ASSERT_TRUE(decoded
-                  .DecodeComponent(kCompEdgeAttr,
-                                   Slice(kV0DeltaEdgeAttr, kV0DeltaEdgeAttr_len))
-                  .ok());
-  EXPECT_TRUE(decoded == expected);
-}
+TEST(FormatRejectionTest, HeaderlessDeltaAndEventBlobsAreCorruption) {
+  Delta delta;
+  Status st = delta.DecodeComponent(kCompStruct, Slice(kRowDeltaStruct, kRowDeltaStruct_len));
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  st = delta.DecodeComponent(kCompNodeAttr, Slice(kRowDeltaNodeAttr, kRowDeltaNodeAttr_len));
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_TRUE(delta.IsEmpty());
 
-TEST(V0CompatTest, V0ReEncodeIsByteIdentical) {
-  // The legacy writer must still produce the frozen bytes: the fixture is
-  // only as strong as the v0 encoder's stability.
-  const Delta d = FixtureDelta();
-  std::string blob;
-  codec::EncodeDeltaComponentV0(d, kCompStruct, &blob);
-  EXPECT_EQ(blob, std::string(kV0DeltaStruct, kV0DeltaStruct_len));
-  codec::EncodeDeltaComponentV0(d, kCompNodeAttr, &blob);
-  EXPECT_EQ(blob, std::string(kV0DeltaNodeAttr, kV0DeltaNodeAttr_len));
-  codec::EncodeDeltaComponentV0(d, kCompEdgeAttr, &blob);
-  EXPECT_EQ(blob, std::string(kV0DeltaEdgeAttr, kV0DeltaEdgeAttr_len));
-
-  const EventList el = FixtureEvents();
-  codec::EncodeEventListComponentV0(el.events(), kCompStruct, &blob);
-  EXPECT_EQ(blob, std::string(kV0EventsStruct, kV0EventsStruct_len));
-  codec::EncodeEventListComponentV0(el.events(), kCompNodeAttr, &blob);
-  EXPECT_EQ(blob, std::string(kV0EventsNodeAttr, kV0EventsNodeAttr_len));
-  codec::EncodeEventListComponentV0(el.events(), kCompEdgeAttr, &blob);
-  EXPECT_EQ(blob, std::string(kV0EventsEdgeAttr, kV0EventsEdgeAttr_len));
-  codec::EncodeEventListComponentV0(el.events(), kCompTransient, &blob);
-  EXPECT_EQ(blob, std::string(kV0EventsTransient, kV0EventsTransient_len));
-}
-
-TEST(V0CompatTest, CheckedInEventBlobsDecodeAndMergeInOrder) {
-  const EventList expected = FixtureEvents();
-  EventList decoded;
-  ASSERT_TRUE(
-      decoded.DecodeAndMergeComponent(Slice(kV0EventsStruct, kV0EventsStruct_len))
-          .ok());
-  ASSERT_TRUE(decoded
-                  .DecodeAndMergeComponent(
-                      Slice(kV0EventsNodeAttr, kV0EventsNodeAttr_len))
-                  .ok());
-  ASSERT_TRUE(decoded
-                  .DecodeAndMergeComponent(
-                      Slice(kV0EventsEdgeAttr, kV0EventsEdgeAttr_len))
-                  .ok());
-  ASSERT_TRUE(decoded
-                  .DecodeAndMergeComponent(
-                      Slice(kV0EventsTransient, kV0EventsTransient_len))
-                  .ok());
-  decoded.FinalizeMerge();
-  ASSERT_EQ(decoded.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(decoded[i], expected[i]) << "index " << i;
+  for (Slice blob : {Slice(kRowEventsStruct, kRowEventsStruct_len),
+                     Slice(kRowEventsTransient, kRowEventsTransient_len)}) {
+    std::vector<codec::SeqEvent> events;
+    st = codec::DecodeEventListComponent(blob, &events);
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_TRUE(events.empty());
   }
-}
-
-TEST(V0CompatTest, VersionHeaderRoundTrip) {
-  // Decode the v0 fixture, re-encode in the current (v1) format, decode
-  // again: the v1 blob must carry the header, and both decodes must agree
-  // element-for-element.
-  Delta from_v0;
-  ASSERT_TRUE(from_v0
-                  .DecodeComponent(kCompStruct,
-                                   Slice(kV0DeltaStruct, kV0DeltaStruct_len))
-                  .ok());
-  ASSERT_TRUE(from_v0
-                  .DecodeComponent(kCompNodeAttr,
-                                   Slice(kV0DeltaNodeAttr, kV0DeltaNodeAttr_len))
-                  .ok());
-  std::string v1;
-  from_v0.EncodeComponent(kCompNodeAttr, &v1);
-  ASSERT_TRUE(codec::HasHeader(v1));
-  EXPECT_FALSE(codec::HasHeader(Slice(kV0DeltaNodeAttr, kV0DeltaNodeAttr_len)));
-  Delta from_v1;
-  ASSERT_TRUE(from_v1.DecodeComponent(kCompNodeAttr, v1).ok());
-  EXPECT_EQ(from_v1.add_node_attrs, from_v0.add_node_attrs);
-  EXPECT_EQ(from_v1.del_node_attrs, from_v0.del_node_attrs);
 }
 
 // ---------------------------------------------------------------------------
@@ -206,7 +126,7 @@ TEST(V0CompatTest, VersionHeaderRoundTrip) {
 
 class CodecPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(CodecPropertyTest, DeltaRoundTripAllComponentsBothVersions) {
+TEST_P(CodecPropertyTest, DeltaRoundTripAllComponents) {
   RandomTraceOptions opts;
   opts.num_events = 4000;
   opts.seed = GetParam();
@@ -216,22 +136,17 @@ TEST_P(CodecPropertyTest, DeltaRoundTripAllComponentsBothVersions) {
   Snapshot g2 = ReplayAt(trace.events, t_end);
   const Delta d = Delta::Between(g2, g1);
 
-  Delta v1_decoded, v0_decoded;
+  Delta decoded;
   for (ComponentMask c : kDeltaComponents) {
     std::string blob;
     d.EncodeComponent(c, &blob);
-    ASSERT_TRUE(codec::HasHeader(blob)) << "seed " << GetParam();
-    ASSERT_TRUE(v1_decoded.DecodeComponent(c, blob).ok()) << "seed " << GetParam();
-    // The legacy writer/reader pair must stay equivalent (it is the
-    // compat path for pre-codec indexes).
-    codec::EncodeDeltaComponentV0(d, c, &blob);
-    ASSERT_TRUE(v0_decoded.DecodeComponent(c, blob).ok()) << "seed " << GetParam();
+    ASSERT_EQ(blob.substr(0, 4), Header(codec::kDeltaVersion)) << "seed " << GetParam();
+    ASSERT_TRUE(decoded.DecodeComponent(c, blob).ok()) << "seed " << GetParam();
   }
-  EXPECT_TRUE(v1_decoded == d) << "seed " << GetParam();
-  EXPECT_TRUE(v0_decoded == d) << "seed " << GetParam();
+  EXPECT_TRUE(decoded == d) << "seed " << GetParam();
 }
 
-TEST_P(CodecPropertyTest, EventListRoundTripAllSubsetsBothVersions) {
+TEST_P(CodecPropertyTest, EventListRoundTripAllSubsets) {
   RandomTraceOptions opts;
   opts.num_events = 3000;
   opts.seed = GetParam() + 1000;
@@ -243,28 +158,20 @@ TEST_P(CodecPropertyTest, EventListRoundTripAllSubsetsBothVersions) {
     for (const auto& e : el.events()) {
       if (e.component() & mask) expected.push_back(e);
     }
-    for (bool v0 : {false, true}) {
-      EventList decoded;
-      // One blob per component bit, merged — the DeltaStore read path.
-      for (unsigned c : {kCompStruct, kCompNodeAttr, kCompEdgeAttr, kCompTransient}) {
-        if ((mask & c) == 0) continue;
-        std::string blob;
-        if (v0) {
-          codec::EncodeEventListComponentV0(
-              el.events(), static_cast<ComponentMask>(c), &blob);
-        } else {
-          el.EncodeComponent(static_cast<ComponentMask>(c), &blob);
-        }
-        ASSERT_TRUE(decoded.DecodeAndMergeComponent(blob).ok())
-            << "seed " << GetParam() << " mask " << mask << " v0 " << v0;
-      }
-      decoded.FinalizeMerge();
-      ASSERT_EQ(decoded.size(), expected.size())
-          << "seed " << GetParam() << " mask " << mask << " v0 " << v0;
-      for (size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_EQ(decoded[i], expected[i])
-            << "seed " << GetParam() << " mask " << mask << " index " << i;
-      }
+    EventList decoded;
+    // One blob per component bit, merged — the DeltaStore read path.
+    for (unsigned c : {kCompStruct, kCompNodeAttr, kCompEdgeAttr, kCompTransient}) {
+      if ((mask & c) == 0) continue;
+      std::string blob;
+      el.EncodeComponent(static_cast<ComponentMask>(c), &blob);
+      ASSERT_TRUE(decoded.DecodeAndMergeComponent(blob).ok())
+          << "seed " << GetParam() << " mask " << mask;
+    }
+    decoded.FinalizeMerge();
+    ASSERT_EQ(decoded.size(), expected.size()) << "seed " << GetParam() << " mask " << mask;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(decoded[i], expected[i])
+          << "seed " << GetParam() << " mask " << mask << " index " << i;
     }
   }
 }
@@ -308,7 +215,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CodecPropertyTest,
                          ::testing::ValuesIn(test::PropertySeeds(5, 71000)));
 
 // ---------------------------------------------------------------------------
-// v2 rebased id columns (ROADMAP 5c)
+// Eventlist version 2: rebased id columns
 // ---------------------------------------------------------------------------
 
 TEST(CodecV2Test, EncoderWritesVersion2AndSentinelEndpointsRoundTrip) {
@@ -322,8 +229,7 @@ TEST(CodecV2Test, EncoderWritesVersion2AndSentinelEndpointsRoundTrip) {
   }
   std::string blob;
   codec::EncodeEventListComponent(events, kCompEdgeAttr, &blob);
-  ASSERT_TRUE(codec::HasHeader(blob));
-  EXPECT_EQ(static_cast<uint8_t>(blob[3]), codec::kVersion2);
+  EXPECT_EQ(blob.substr(0, 4), Header(codec::kEventListVersion));
 
   std::vector<codec::SeqEvent> decoded;
   ASSERT_TRUE(codec::DecodeEventListComponent(blob, &decoded).ok());
@@ -355,30 +261,32 @@ TEST(CodecV2Test, SentinelEndpointsCostNoMoreThanValidTwins) {
 
 TEST(CodecV2Test, RebasingShrinksFarFromZeroIdColumns) {
   // Ids clustered far from zero take 5 absolute varint bytes each but 1-2
-  // rebased bytes; v2 must beat the v1 absolute layout on such columns.
+  // rebased bytes: 200 ids x 5 bytes absolute vs 1 base + 200 x <=2 bytes
+  // rebased leaves ~600 bytes of daylight in the id block.
   std::vector<Event> events;
+  std::string absolute;
   for (int i = 0; i < 200; ++i) {
     events.push_back(Event::AddNode(i + 1, (1ull << 34) + i * 7));
+    PutVarint64(&absolute, events.back().node);
   }
-  std::string v2;
-  codec::EncodeEventListComponent(events, kCompStruct, &v2);
-  // The v1 twin: identical layout with absolute id columns. Build it from the
-  // v2 blob's own size arithmetic instead: 200 ids x 5 bytes absolute vs
-  // 1 base + 200 x <=2 bytes rebased means at least ~600 bytes of daylight,
-  // far more than any framing difference.
-  std::string v0;
-  codec::EncodeEventListComponentV0(events, kCompStruct, &v0);
-  EXPECT_LT(v2.size() + 400, v0.size());
+  std::string blob;
+  codec::EncodeEventListComponent(events, kCompStruct, &blob);
+  codec::BlockReader reader;
+  std::unordered_map<uint8_t, Slice> blocks;
+  ASSERT_TRUE(codec::ReadBlocks(blob, codec::kEventListVersion, &reader, &blocks).ok());
+  ASSERT_EQ(blocks.count(codec::kBlockEventIds), 1u);
+  EXPECT_LT(blocks[codec::kBlockEventIds].size() + 400, absolute.size());
 }
 
-TEST(CodecV2Test, HandBuiltV1AbsoluteIdBlobStillDecodes) {
-  // A v1 blob frozen by hand: absolute varint id columns, no rebasing. Old
-  // indexes written by a v1 build must keep decoding bit-exactly.
+TEST(CodecV2Test, HandBuiltV1AbsoluteIdBlobRejected) {
+  // A version-1 blob built by hand: absolute varint id columns, no rebasing.
+  // This build reads only version 2, so the header check must reject it
+  // (InvalidArgument) before the id block is parsed under the wrong layout.
   const Event e0 = Event::AddNode(10, 12'345'678);
   const Event e1 = Event::AddEdge(20, 99'999, 5, 888'888, true);
 
   std::string blob;
-  codec::PutHeader(&blob, codec::kVersion1);
+  codec::PutHeader(&blob, 1);
   std::string meta;
   PutVarint64(&meta, 2);     // count
   PutVarint64(&meta, 0);     // seq gap to e0 (seq 0)
@@ -397,12 +305,9 @@ TEST(CodecV2Test, HandBuiltV1AbsoluteIdBlobStillDecodes) {
   codec::AppendBlock(codec::kBlockEventIds, ids, &blob);
 
   std::vector<codec::SeqEvent> decoded;
-  ASSERT_TRUE(codec::DecodeEventListComponent(blob, &decoded).ok());
-  ASSERT_EQ(decoded.size(), 2u);
-  EXPECT_EQ(decoded[0].seq, 0u);
-  EXPECT_EQ(decoded[1].seq, 1u);
-  EXPECT_EQ(decoded[0].event, e0);
-  EXPECT_EQ(decoded[1].event, e1);
+  const Status st = codec::DecodeEventListComponent(blob, &decoded);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_TRUE(decoded.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -413,7 +318,7 @@ TEST(CodecMalformedTest, UnsupportedVersionRejected) {
   Delta d = FixtureDelta();
   std::string blob;
   d.EncodeComponent(kCompStruct, &blob);
-  ASSERT_TRUE(codec::HasHeader(blob));
+  ASSERT_EQ(blob.substr(0, 4), Header(codec::kDeltaVersion));
   blob[3] = '\x09';  // Future version byte.
   Delta decoded;
   Status s = decoded.DecodeComponent(kCompStruct, blob);
@@ -483,8 +388,7 @@ TEST(CodecMalformedTest, SeededByteFlipsFailCleanly) {
 TEST(CodecMalformedTest, AbsurdCompressedLengthRejected) {
   // A compressed block frame whose claimed uncompressed size is absurd must
   // be rejected before any allocation is attempted.
-  std::string blob;
-  codec::PutHeader(&blob);
+  std::string blob = Header(codec::kDeltaVersion);
   std::string packed;
   PutVarint64(&packed, uint64_t{1} << 60);  // Claimed raw size.
   packed += "junk";
@@ -507,8 +411,7 @@ TEST(CodecMalformedTest, DictIndexAliasingThroughUint32Rejected) {
   PutVarint64(&attrs_payload, 7);                  // Owner.
   PutVarint64(&attrs_payload, (uint64_t{1} << 32));  // Key idx: aliases 0.
   PutVarint64(&attrs_payload, 0);                  // Value idx.
-  std::string blob;
-  codec::PutHeader(&blob);
+  std::string blob = Header(codec::kDeltaVersion);
   codec::AppendBlock(codec::kBlockDict, dict_payload, &blob);
   codec::AppendBlock(codec::kBlockAttrAdds, attrs_payload, &blob);
   Delta decoded;
@@ -541,7 +444,7 @@ TEST(CodecKvTest, KvLayerStoresCodecBlobsRaw) {
   Delta d = FixtureDelta();
   std::string blob;
   d.EncodeComponent(kCompNodeAttr, &blob);
-  ASSERT_TRUE(codec::HasHeader(blob));
+  ASSERT_EQ(blob.substr(0, 4), Header(codec::kDeltaVersion));
   std::string stored;
   CompressValue(blob, &stored);
   EXPECT_EQ(stored.size(), blob.size() + 1);  // One tag byte, no transform.
@@ -631,28 +534,37 @@ TEST(CodecKvTest, IndexFormatVersionGate) {
     auto reopened = DeltaGraph::Open(store.get());
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   }
-  {  // A future version is rejected up front.
-    DeltaStore ds(store.get());
-    ASSERT_TRUE(ds.PutMeta("format", "9").ok());
+  DeltaStore ds(store.get());
+  // Any other format, older or newer, is rejected up front.
+  for (const char* format : {"1", "9"}) {
+    ASSERT_TRUE(ds.PutMeta("format", format).ok());
+    auto reopened = DeltaGraph::Open(store.get());
+    ASSERT_FALSE(reopened.ok()) << "format " << format;
+    EXPECT_TRUE(reopened.status().IsInvalidArgument()) << reopened.status().ToString();
+  }
+  {  // So is an index with no format meta (written before the codec existed).
+    ASSERT_TRUE(store->Delete("m/format").ok());
     auto reopened = DeltaGraph::Open(store.get());
     ASSERT_FALSE(reopened.ok());
-    EXPECT_TRUE(reopened.status().IsInvalidArgument());
+    EXPECT_TRUE(reopened.status().IsInvalidArgument()) << reopened.status().ToString();
+    EXPECT_NE(reopened.status().ToString().find(std::to_string(codec::kIndexFormat)),
+              std::string::npos)
+        << "the error must name the required format";
   }
-  {  // A pre-codec index (no format meta) still opens: v0 fallback.
-    ASSERT_TRUE(store->Delete("m/format").ok());
+  {  // Restoring the current format opens again.
+    ASSERT_TRUE(ds.PutMeta("format", std::to_string(codec::kIndexFormat)).ok());
     auto reopened = DeltaGraph::Open(store.get());
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   }
 }
 
 // ---------------------------------------------------------------------------
-// Skeleton blobs through the versioned container (ROADMAP 5b: the last
-// pre-codec v0 blob folded into the columnar format).
+// Skeleton blobs through the versioned container
 // ---------------------------------------------------------------------------
 
 // A skeleton exercising every encoded field: multiple levels, negative and
 // positive boundary times, a super-root, materialized leaves, delta and
-// eventlist edges, and a soft-deleted edge.
+// eventlist edges.
 Skeleton BuildFixtureSkeleton() {
   Skeleton s;
   SkeletonNode leaf;
@@ -696,7 +608,7 @@ Skeleton BuildFixtureSkeleton() {
   delta.from = top;
   delta.to = mid;
   delta.delta_id = 9;
-  const int32_t doomed = s.AddEdge(delta);
+  s.AddEdge(delta);
   SkeletonEdge ev;
   ev.from = l0;
   ev.to = l1;
@@ -709,7 +621,6 @@ Skeleton BuildFixtureSkeleton() {
   ev.to = l2;
   ev.delta_id = 11;
   s.AddEdge(ev);
-  s.RemoveEdge(doomed);  // Soft delete must survive the round trip.
   return s;
 }
 
@@ -735,7 +646,6 @@ void ExpectSkeletonsEqual(const Skeleton& a, const Skeleton& b) {
     EXPECT_EQ(x.from, y.from) << "edge " << i;
     EXPECT_EQ(x.to, y.to) << "edge " << i;
     EXPECT_EQ(x.is_eventlist, y.is_eventlist) << "edge " << i;
-    EXPECT_EQ(x.deleted, y.deleted) << "edge " << i;
     EXPECT_EQ(x.delta_id, y.delta_id) << "edge " << i;
     for (int c = 0; c < kNumComponents; ++c) {
       EXPECT_EQ(x.sizes.bytes[c], y.sizes.bytes[c]) << "edge " << i;
@@ -748,7 +658,7 @@ TEST(SkeletonCodecTest, ColumnarRoundTrip) {
   const Skeleton s = BuildFixtureSkeleton();
   std::string blob;
   s.EncodeTo(&blob);
-  ASSERT_TRUE(codec::HasHeader(Slice(blob)));  // New blobs carry the magic.
+  ASSERT_EQ(blob.substr(0, 4), Header(codec::kSkeletonVersion));
   Skeleton back;
   ASSERT_TRUE(Skeleton::DecodeFrom(Slice(blob), &back).ok());
   ExpectSkeletonsEqual(s, back);
@@ -764,45 +674,63 @@ TEST(SkeletonCodecTest, ColumnarRoundTrip) {
   EXPECT_EQ(blob2, reblob);
 }
 
-TEST(SkeletonCodecTest, LegacyRowBlobStillDecodes) {
-  const Skeleton s = BuildFixtureSkeleton();
-  // The pre-codec v0 row layout, reproduced here exactly as the old encoder
-  // wrote it (bare varint version 1, interleaved per-row fields). The decoder
-  // must keep reading these from indexes finalized before the codec fold.
+TEST(SkeletonCodecTest, HeaderlessRowBlobIsCorruption) {
+  // The row layout builds before the columnar codec wrote: a bare varint
+  // version 1, then one row per node (level, flags, hierarchy, time, size),
+  // an edge count and the super-root. Here: one super-root node, no edges.
   std::string blob;
-  PutVarint32(&blob, 1);
-  PutVarint64(&blob, s.node_count());
-  for (size_t i = 0; i < s.node_count(); ++i) {
-    const SkeletonNode& n = s.node(static_cast<int32_t>(i));
-    PutVarint32(&blob, static_cast<uint32_t>(n.level));
-    unsigned char flags = 0;
-    if (n.is_leaf) flags |= 1;
-    if (n.is_super_root) flags |= 2;
-    if (n.materialized) flags |= 4;
-    blob.push_back(static_cast<char>(flags));
-    PutVarint32(&blob, static_cast<uint32_t>(n.hierarchy));
-    PutVarsint64(&blob, n.boundary_time);
-    PutVarint64(&blob, n.element_count);
-  }
-  PutVarint64(&blob, s.edge_count());
-  for (size_t i = 0; i < s.edge_count(); ++i) {
-    const SkeletonEdge& e = s.edge(static_cast<int32_t>(i));
-    PutVarint32(&blob, static_cast<uint32_t>(e.from));
-    PutVarint32(&blob, static_cast<uint32_t>(e.to));
-    unsigned char flags = 0;
-    if (e.is_eventlist) flags |= 1;
-    if (e.deleted) flags |= 2;
-    blob.push_back(static_cast<char>(flags));
-    PutVarint64(&blob, e.delta_id);
-    for (int c = 0; c < kNumComponents; ++c) PutVarint64(&blob, e.sizes.bytes[c]);
-    for (int c = 0; c < kNumComponents; ++c) PutVarint64(&blob, e.sizes.elements[c]);
-  }
-  PutVarint32(&blob, static_cast<uint32_t>(s.super_root() + 1));
-
-  ASSERT_FALSE(codec::HasHeader(Slice(blob)));
+  PutVarint32(&blob, 1);  // Row-layout version tag.
+  PutVarint64(&blob, 1);  // Node count.
+  PutVarint32(&blob, 0);  // Level.
+  blob.push_back(2);      // Flags: super-root.
+  PutVarint32(&blob, 0);  // Hierarchy.
+  PutVarsint64(&blob, 0);  // Boundary time.
+  PutVarint64(&blob, 0);  // Element count.
+  PutVarint64(&blob, 0);  // Edge count.
+  PutVarint32(&blob, 1);  // Super-root + 1.
   Skeleton back;
-  ASSERT_TRUE(Skeleton::DecodeFrom(Slice(blob), &back).ok());
-  ExpectSkeletonsEqual(s, back);
+  const Status st = Skeleton::DecodeFrom(Slice(blob), &back);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+}
+
+// A two-leaf skeleton with one edge whose flag column holds `edge_flags`,
+// laid out exactly as Skeleton::EncodeTo writes it.
+std::string SkeletonBlobWithEdgeFlags(uint64_t edge_flags) {
+  std::string blob = Header(codec::kSkeletonVersion);
+  std::string nodes;
+  PutVarint64(&nodes, 2);
+  codec::PutDeltaVarints({1, 1}, &nodes);     // Levels.
+  codec::PutDeltaVarints({1, 1}, &nodes);     // Flags: leaves.
+  codec::PutDeltaVarints({0, 0}, &nodes);     // Hierarchies.
+  codec::PutDeltaVarints({20, 40}, &nodes);   // Boundary times (zigzag).
+  codec::PutDeltaVarints({3, 4}, &nodes);     // Element counts.
+  codec::AppendBlock(codec::kBlockSkelNodes, nodes, &blob);
+  std::string edges;
+  PutVarint64(&edges, 1);
+  codec::PutDeltaVarints({0}, &edges);           // From.
+  codec::PutDeltaVarints({1}, &edges);           // To.
+  codec::PutDeltaVarints({edge_flags}, &edges);  // Flags.
+  codec::PutDeltaVarints({5}, &edges);           // Delta id.
+  for (int c = 0; c < 2 * kNumComponents; ++c) codec::PutDeltaVarints({1}, &edges);
+  codec::AppendBlock(codec::kBlockSkelEdges, edges, &blob);
+  std::string meta;
+  PutVarint32(&meta, 0);  // No super-root.
+  codec::AppendBlock(codec::kBlockSkelMeta, meta, &blob);
+  return blob;
+}
+
+TEST(SkeletonCodecTest, EdgeFlagsBeyondEventlistBitAreCorruption) {
+  Skeleton back;
+  // The hand layout matches the encoder: flag 1 (eventlist) decodes.
+  ASSERT_TRUE(Skeleton::DecodeFrom(Slice(SkeletonBlobWithEdgeFlags(1)), &back).ok());
+  ASSERT_EQ(back.edge_count(), 1u);
+  EXPECT_TRUE(back.edge(0).is_eventlist);
+  // Flag 2 (once the soft-delete bit) and any other bit are not a format
+  // this build writes.
+  for (uint64_t flags : {2u, 3u, 4u, 0x80u}) {
+    const Status st = Skeleton::DecodeFrom(Slice(SkeletonBlobWithEdgeFlags(flags)), &back);
+    EXPECT_TRUE(st.IsCorruption()) << "flags " << flags << ": " << st.ToString();
+  }
 }
 
 TEST(SkeletonCodecTest, EveryTruncationFailsCleanly) {

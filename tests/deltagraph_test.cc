@@ -174,7 +174,6 @@ TEST(SkeletonTest, SerializationRoundTrip) {
   d.to = l1;
   d.delta_id = 8;
   const int32_t did = s.AddEdge(d);
-  s.RemoveEdge(did);
 
   std::string blob;
   s.EncodeTo(&blob);
@@ -184,7 +183,7 @@ TEST(SkeletonTest, SerializationRoundTrip) {
   EXPECT_EQ(back.edge_count(), 2u);
   EXPECT_EQ(back.super_root(), s.super_root());
   EXPECT_EQ(back.leaves().size(), 2u);
-  EXPECT_TRUE(back.edge(did).deleted);
+  EXPECT_EQ(back.edge(did).to, l1);
   EXPECT_EQ(back.edge(eid).sizes.bytes[0], 100u);
   EXPECT_EQ(back.node(l1).boundary_time, 42);
   EXPECT_EQ(back.node(l1).element_count, 17u);
@@ -575,11 +574,8 @@ TEST_F(DeltaGraphTest, OddArityFinalizationCascades) {
 
     // Exactly one root (super-root child) per hierarchy.
     const auto& skel = dg_->skeleton();
-    size_t roots = 0;
-    for (int32_t eid : skel.incident_edges(skel.super_root())) {
-      if (!skel.edge(eid).deleted) ++roots;
-    }
-    EXPECT_EQ(roots, 1u) << "leaves=" << skel.leaves().size();
+    EXPECT_EQ(skel.incident_edges(skel.super_root()).size(), 1u)
+        << "leaves=" << skel.leaves().size();
 
     // No interior node may have exactly one child (a delta onto itself).
     for (size_t i = 0; i < skel.node_count(); ++i) {
@@ -588,7 +584,7 @@ TEST_F(DeltaGraphTest, OddArityFinalizationCascades) {
       size_t children = 0;
       for (int32_t eid : skel.incident_edges(n.id)) {
         const auto& e = skel.edge(eid);
-        if (!e.deleted && !e.is_eventlist && e.from == n.id) ++children;
+        if (!e.is_eventlist && e.from == n.id) ++children;
       }
       EXPECT_GE(children, 2u) << "node " << n.id;
     }
@@ -821,10 +817,10 @@ TEST_F(DeltaGraphTest, PlanUsesMaterializedShortcut) {
   Build(trace.events, dgo);
 
   const Timestamp mid = trace.events.back().time / 2;
-  auto before = dg_->PlanFor({mid});
+  auto before = dg_->PlanForAt(dg_->PinFrontier(), {mid});
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(dg_->MaterializeAllLeaves().ok());
-  auto after = dg_->PlanFor({mid});
+  auto after = dg_->PlanForAt(dg_->PinFrontier(), {mid});
   ASSERT_TRUE(after.ok());
   // With every leaf in memory the plan cost must collapse.
   EXPECT_LT(after.value().estimated_cost, before.value().estimated_cost / 2);
@@ -847,11 +843,12 @@ TEST_F(DeltaGraphTest, MultipointPlanCheaperThanIndependentSinglepoints) {
   std::vector<Timestamp> times;
   for (int i = 0; i < 6; ++i) times.push_back(t_max / 2 + i * t_max / 50);
 
-  auto multi = dg_->PlanFor(times);
+  const FrontierPtr frontier = dg_->PinFrontier();
+  auto multi = dg_->PlanForAt(frontier, times);
   ASSERT_TRUE(multi.ok());
   double single_total = 0;
   for (Timestamp t : times) {
-    auto p = dg_->PlanFor({t});
+    auto p = dg_->PlanForAt(frontier, {t});
     ASSERT_TRUE(p.ok());
     single_total += p.value().estimated_cost;
   }

@@ -206,7 +206,7 @@ TEST(ParallelExecutorTest, BranchyPlansOnSerialPoolMatchReplay) {
     for (int k : {3, 6, 10}) {
       std::vector<Timestamp> times = test::RandomTimes(rng, built.events, k);
       times.push_back(built.events.back().time);  // Served by the current graph.
-      auto plan = built.dg->PlanFor(times);
+      auto plan = built.dg->PlanForAt(built.dg->PinFrontier(), times);
       ASSERT_TRUE(plan.ok());
       ASSERT_TRUE(PlanHasBranches(plan.value())) << "k=" << k;
       materialized_starts += CountSteps(*plan.value().root,
@@ -223,7 +223,7 @@ TEST(ParallelExecutorTest, BranchyPlansOnSerialPoolMatchReplay) {
 
 TEST(ParallelExecutorTest, PlanHasBranchesDetectsLinearChains) {
   BuiltIndex built = BuildRandomIndex(5, 1500);
-  auto single = built.dg->PlanFor({built.events.back().time / 2});
+  auto single = built.dg->PlanForAt(built.dg->PinFrontier(), {built.events.back().time / 2});
   ASSERT_TRUE(single.ok());
   EXPECT_FALSE(PlanHasBranches(single.value()));  // Singlepoint = linear.
 }
@@ -235,7 +235,8 @@ TEST(ParallelExecutorTest, PlanHasBranchesDetectsLinearChains) {
 TEST(PrefetchTest, PlanPreScanDedupesAndSkipsInMemorySteps) {
   BuiltIndex built = BuildRandomIndex(31, 2000, /*post_finalize_events=*/60);
   test::SeededRng rng(3);
-  auto plan = built.dg->PlanFor(test::RandomTimes(rng, built.events, 6));
+  auto plan = built.dg->PlanForAt(built.dg->PinFrontier(),
+                                  test::RandomTimes(rng, built.events, 6));
   ASSERT_TRUE(plan.ok());
   const std::vector<PlanFetch> fetches = CollectPlanFetches(plan.value());
   ASSERT_FALSE(fetches.empty());

@@ -483,7 +483,7 @@ TEST(TraceTest, PrefetchCoverageIsFullOnPrefetchedPinnedPlan) {
   const Timestamp lo = events.front().time;
   const Timestamp hi = events.back().time;
   const std::vector<Timestamp> times = {lo + (hi - lo) / 3, hi - (hi - lo) / 5};
-  auto plan = dg->PlanFor(times, kCompAll);
+  auto plan = dg->PlanForAt(dg->PinFrontier(), times, kCompAll);
   ASSERT_TRUE(plan.ok());
   const std::vector<PlanFetch> fetches = CollectPlanFetches(plan.value());
   ASSERT_GE(fetches.size(), 2u) << "plan too small to exercise prefetch";

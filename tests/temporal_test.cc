@@ -35,48 +35,6 @@ TEST(EventTest, ComponentClassification) {
   EXPECT_FALSE(Event::AddNode(1, 1).is_transient());
 }
 
-TEST(EventTest, EncodeDecodeRoundTripAllTypes) {
-  std::vector<Event> events = {
-      Event::AddNode(5, 101),
-      Event::DeleteNode(-3, 102),
-      Event::AddEdge(7, 55, 1, 2, true),
-      Event::DeleteEdge(8, 55, 1, 2, false),
-      Event::SetNodeAttr(9, 3, "name", std::nullopt, "alice"),
-      Event::SetNodeAttr(10, 3, "name", "alice", "bob"),
-      Event::SetNodeAttr(11, 3, "name", "bob", std::nullopt),
-      Event::SetEdgeAttr(12, 55, "w", "1", "2"),
-      Event::TransientEdge(13, 4, 5, "hello"),
-      Event::TransientNode(14, 6, "blip"),
-  };
-  std::string buf;
-  for (const auto& e : events) e.EncodeTo(&buf);
-  Slice in(buf);
-  for (const auto& want : events) {
-    Event got;
-    ASSERT_TRUE(Event::DecodeFrom(&in, &got).ok());
-    EXPECT_EQ(got, want) << want.ToString();
-  }
-  EXPECT_TRUE(in.empty());
-}
-
-TEST(EventTest, DecodeRejectsTruncation) {
-  Event e = Event::SetNodeAttr(9, 3, "name", "x", "y");
-  std::string buf;
-  e.EncodeTo(&buf);
-  for (size_t cut = 0; cut < buf.size(); ++cut) {
-    Slice in(buf.data(), cut);
-    Event got;
-    EXPECT_FALSE(Event::DecodeFrom(&in, &got).ok()) << "cut=" << cut;
-  }
-}
-
-TEST(EventTest, DecodeRejectsBadTypeByte) {
-  std::string buf = "\x7f rest";
-  Slice in(buf);
-  Event got;
-  EXPECT_TRUE(Event::DecodeFrom(&in, &got).IsCorruption());
-}
-
 TEST(EventTest, ToStringMatchesPaperStyle) {
   Event e = Event::AddEdge(100, 9, 23, 4590, false);
   EXPECT_EQ(e.ToString(), "{NE, E:9, N:23, N:4590, directed:no, t=100}");
